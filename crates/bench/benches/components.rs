@@ -1,18 +1,20 @@
 //! Criterion micro-benchmarks of SimDC's performance-critical components:
 //! the DES event loop, the allocation optimizer, the AUC discretizer,
-//! DeviceFlow dispatch throughput, local training and ADB parsing.
+//! DeviceFlow dispatch throughput, local training, the device-update codec
+//! and ADB parsing.
 //!
 //! These benches establish that the platform itself scales (the §VI-B.4
 //! "easily scalable" claim): simulating 100k devices must take wall-time
 //! seconds, not hours.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use simdc_cluster::{ClusterConfig, CostModel, JobSpec, LogicalCluster};
 use simdc_core::alloc::{optimize, GradeAllocParams};
+use simdc_core::cloud::{decode_update, encode_update};
 use simdc_data::{CtrDataset, GeneratorConfig};
 use simdc_deviceflow::{discretize, DeviceFlow, DispatchStrategy, FlowHarness, TrafficFunction};
-use simdc_ml::{KernelKind, LocalTrainer, LrModel, TrainConfig};
+use simdc_ml::{KernelKind, LocalTrainer, LocalUpdate, LrModel, TrainConfig};
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
 use simdc_types::{
     DeviceGrade, DeviceId, Message, MessageId, PerGrade, ResourceBundle, RoundId, SimDuration,
@@ -133,6 +135,26 @@ fn local_training(c: &mut Criterion) {
     group.finish();
 }
 
+/// Encoding and decoding one device update, the payload every device puts
+/// into shared storage, at the 4,096-feature dimension of the `simbench`
+/// dataset.
+fn update_codec(c: &mut Criterion) {
+    let update = LocalUpdate {
+        model: LrModel::from_parts((0..4096).map(|i| i as f32 * 1e-3 - 2.0).collect(), 0.5),
+        n_samples: 200,
+        final_loss: 0.4,
+    };
+    let payload = encode_update(&update);
+    let mut group = c.benchmark_group("update_codec");
+    group.bench_function("encode_4096", |b| {
+        b.iter(|| encode_update(black_box(&update)))
+    });
+    group.bench_function("decode_4096", |b| {
+        b.iter(|| decode_update(black_box(payload.clone())).unwrap());
+    });
+    group.finish();
+}
+
 fn cluster_plan_100k(c: &mut Criterion) {
     c.bench_function("cluster_plan_100k_devices", |b| {
         b.iter(|| {
@@ -188,6 +210,7 @@ criterion_group!(
     auc_discretizer,
     deviceflow_throughput,
     local_training,
+    update_codec,
     cluster_plan_100k,
     adb_round_trip
 );

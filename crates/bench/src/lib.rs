@@ -43,45 +43,92 @@ impl Default for ExpOptions {
     }
 }
 
+/// Usage text of every experiment binary, printed by `--help` and after
+/// an argument error.
+pub const USAGE: &str = "\
+usage: EXPERIMENT [OPTIONS]
+
+options:
+  --seed N      root RNG seed (default 1370341598)
+  --quick       scale experiment knobs down for smoke testing
+  --out DIR     directory for the JSON results (default results)
+  --fleet N     phone-fleet size for the scale experiments
+  --threads N   largest worker-thread count for the scale sweep
+  -h, --help    print this help";
+
+/// Why [`ExpOptions::parse`] returned no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` or `-h` was given.
+    Help,
+    /// The arguments are malformed; the message says how.
+    Invalid(String),
+}
+
 impl ExpOptions {
-    /// Parses `--seed N`, `--quick`, `--out DIR`, `--fleet N` and
-    /// `--threads N` from `std::env::args`.
+    /// Parses `--seed N`, `--quick`, `--out DIR`, `--fleet N`,
+    /// `--threads N` and `--help` from the arguments after the program
+    /// name.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments (these are
-    /// developer-facing binaries).
-    #[must_use]
-    pub fn from_args() -> Self {
+    /// [`ArgsError::Help`] when help is asked for, and
+    /// [`ArgsError::Invalid`] for an unknown flag or a missing or
+    /// non-integer value.
+    pub fn parse<I>(args: I) -> Result<Self, ArgsError>
+    where
+        I: IntoIterator,
+        I::Item: Into<String>,
+    {
+        fn value(flag: &str, next: Option<String>) -> Result<String, ArgsError> {
+            next.ok_or_else(|| ArgsError::Invalid(format!("{flag} needs a value")))
+        }
+        fn integer<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, ArgsError> {
+            let v = value(flag, next)?;
+            v.parse()
+                .map_err(|_| ArgsError::Invalid(format!("{flag} must be an integer, got '{v}'")))
+        }
         let mut opts = ExpOptions::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter().map(Into::into);
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    opts.seed = v.parse().expect("--seed must be an integer");
-                }
+                "-h" | "--help" => return Err(ArgsError::Help),
+                "--seed" => opts.seed = integer(&arg, args.next())?,
                 "--quick" => opts.quick = true,
-                "--out" => {
-                    opts.out_dir = PathBuf::from(args.next().expect("--out needs a value"));
-                }
-                "--fleet" => {
-                    let v = args.next().expect("--fleet needs a value");
-                    opts.fleet = Some(v.parse().expect("--fleet must be an integer"));
-                }
-                "--threads" => {
-                    let v = args.next().expect("--threads needs a value");
-                    opts.threads = Some(v.parse().expect("--threads must be an integer"));
-                }
-                other => {
-                    panic!(
-                        "unknown argument '{other}' \
-                         (supported: --seed N, --quick, --out DIR, --fleet N, --threads N)"
-                    )
-                }
+                "--out" => opts.out_dir = PathBuf::from(value(&arg, args.next())?),
+                "--fleet" => opts.fleet = Some(integer(&arg, args.next())?),
+                "--threads" => opts.threads = Some(integer(&arg, args.next())?),
+                other => return Err(ArgsError::Invalid(format!("unknown argument '{other}'"))),
             }
         }
-        opts
+        Ok(opts)
+    }
+
+    /// Parses the process arguments with [`ExpOptions::parse`]. On
+    /// `--help` it prints [`USAGE`] and exits with status 0; on a bad
+    /// argument, including one that is not UTF-8, it prints the error and
+    /// [`USAGE`] to stderr and exits with status 2.
+    #[must_use]
+    pub fn from_args() -> Self {
+        let parsed = std::env::args_os()
+            .skip(1)
+            .map(|arg| {
+                arg.into_string()
+                    .map_err(|arg| ArgsError::Invalid(format!("argument {arg:?} is not UTF-8")))
+            })
+            .collect::<Result<Vec<String>, _>>()
+            .and_then(ExpOptions::parse);
+        match parsed {
+            Ok(opts) => opts,
+            Err(ArgsError::Help) => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(ArgsError::Invalid(msg)) => {
+                eprintln!("error: {msg}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Writes `value` as pretty JSON to `<out_dir>/<name>.json` and returns
@@ -165,6 +212,67 @@ mod tests {
     fn float_formatting() {
         assert_eq!(f(0.12349, 3), "0.123");
         assert_eq!(f(2.0, 1), "2.0");
+    }
+
+    fn parse(args: &[&str]) -> Result<ExpOptions, ArgsError> {
+        ExpOptions::parse(args.iter().copied())
+    }
+
+    fn invalid(args: &[&str]) -> String {
+        match parse(args) {
+            Err(ArgsError::Invalid(msg)) => msg,
+            other => panic!("expected an argument error for {args:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let opts = parse(&[
+            "--seed",
+            "7",
+            "--quick",
+            "--out",
+            "o",
+            "--fleet",
+            "100",
+            "--threads",
+            "4",
+        ])
+        .unwrap();
+        assert_eq!(opts.seed, 7);
+        assert!(opts.quick);
+        assert_eq!(opts.out_dir, PathBuf::from("o"));
+        assert_eq!(opts.fleet, Some(100));
+        assert_eq!(opts.threads, Some(4));
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.seed, ExpOptions::default().seed);
+        assert!(!defaults.quick);
+    }
+
+    #[test]
+    fn parse_reports_help() {
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(parse(&["--quick", "-h"]).unwrap_err(), ArgsError::Help);
+        assert!(USAGE.contains(&format!("{}", ExpOptions::default().seed)));
+    }
+
+    #[test]
+    fn parse_rejects_bad_arguments() {
+        assert_eq!(invalid(&["--bogus"]), "unknown argument '--bogus'");
+        assert_eq!(invalid(&["7"]), "unknown argument '7'");
+        for flag in ["--seed", "--out", "--fleet", "--threads"] {
+            assert_eq!(invalid(&[flag]), format!("{flag} needs a value"));
+        }
+        for flag in ["--seed", "--fleet", "--threads"] {
+            assert_eq!(
+                invalid(&[flag, "x1"]),
+                format!("{flag} must be an integer, got 'x1'")
+            );
+            assert_eq!(
+                invalid(&[flag, "-3"]),
+                format!("{flag} must be an integer, got '-3'")
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use serde::{Deserialize, Serialize};
 use simdc_types::{DeviceId, Message, Result, SimDuration, SimInstant, SimdcError, StorageKey};
 
@@ -86,12 +86,11 @@ impl Storage {
 /// Serializes a [`LocalUpdate`] into the payload devices upload.
 #[must_use]
 pub fn encode_update(update: &LocalUpdate) -> Bytes {
-    let model = update.model.to_bytes();
-    let mut buf = BytesMut::with_capacity(model.len() + 16);
-    buf.put_u64_le(update.n_samples);
-    buf.put_f64_le(update.final_loss);
-    buf.extend_from_slice(&model);
-    buf.freeze()
+    let mut out = Vec::with_capacity(16 + update.model.serialized_size() as usize);
+    out.extend_from_slice(&update.n_samples.to_le_bytes());
+    out.extend_from_slice(&update.final_loss.to_le_bytes());
+    update.model.write_bytes(&mut out);
+    Bytes::from(out)
 }
 
 /// Decodes a payload produced by [`encode_update`].
@@ -263,6 +262,7 @@ fn take_first(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
     use simdc_types::{MessageId, RoundId, TaskId};
 
     fn t(secs: u64) -> SimInstant {
@@ -310,14 +310,131 @@ mod tests {
         assert_eq!(back, update);
     }
 
+    /// The update payload layout, byte for byte: `u64 n_samples`,
+    /// `f64 final_loss`, then the model (`u32 dim`, `f32 bias`,
+    /// `f32 × dim` weights), all little-endian.
+    #[test]
+    fn update_codec_matches_committed_wire_bytes() {
+        let update = LocalUpdate {
+            model: LrModel::from_parts(vec![0.5, -2.0, -0.0], 1.25),
+            n_samples: 7,
+            final_loss: 0.375,
+        };
+        #[rustfmt::skip]
+        let model: [u8; 20] = [
+            0x03, 0x00, 0x00, 0x00, // dim 3
+            0x00, 0x00, 0xA0, 0x3F, // bias 1.25
+            0x00, 0x00, 0x00, 0x3F, // 0.5
+            0x00, 0x00, 0x00, 0xC0, // -2.0
+            0x00, 0x00, 0x00, 0x80, // -0.0
+        ];
+        #[rustfmt::skip]
+        let header: [u8; 16] = [
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n_samples 7
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD8, 0x3F, // final_loss 0.375
+        ];
+        assert_eq!(update.model.to_bytes(), model[..]);
+        assert_eq!(encode_update(&update), [&header[..], &model[..]].concat());
+    }
+
+    /// Every value survives the round trip bit for bit, including NaN
+    /// payloads, infinities, signed zeros and subnormals.
+    #[test]
+    fn update_codec_is_bit_exact() {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        const SPECIAL: [u32; 8] = [
+            0x7FC0_0000, // quiet NaN
+            0xFFC0_0001, // negative NaN with a payload
+            0x7F80_0001, // signalling NaN
+            0x7F80_0000, // +inf
+            0xFF80_0000, // -inf
+            0x8000_0000, // -0.0
+            0x0000_0001, // smallest subnormal
+            0x807F_FFFF, // largest negative subnormal
+        ];
+        fn bits() -> impl Strategy<Value = u32> {
+            prop_oneof![
+                (0u64..1 << 32).prop_map(|b| b as u32),
+                (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+            ]
+        }
+
+        proptest! {
+            fn check(
+                weights in vec(bits(), 1..4097),
+                bias in bits(),
+                n_samples in 0..u64::MAX,
+                loss in (0..u64::MAX, 0..SPECIAL.len() + 1).prop_map(|(b, i)| {
+                    // Widen a special f32 pattern, or take arbitrary f64 bits.
+                    SPECIAL.get(i).map_or(b, |&s| f64::from(f32::from_bits(s)).to_bits())
+                }),
+            ) {
+                let update = LocalUpdate {
+                    model: LrModel::from_parts(
+                        weights.iter().copied().map(f32::from_bits).collect(),
+                        f32::from_bits(bias),
+                    ),
+                    n_samples,
+                    final_loss: f64::from_bits(loss),
+                };
+                let bytes = encode_update(&update);
+                prop_assert_eq!(bytes.len(), 16 + 8 + 4 * weights.len());
+                let back = decode_update(bytes).unwrap();
+                let back_weights: Vec<u32> =
+                    back.model.weights().iter().map(|w| w.to_bits()).collect();
+                prop_assert_eq!(back_weights, weights);
+                prop_assert_eq!(back.model.bias().to_bits(), bias);
+                prop_assert_eq!(back.n_samples, n_samples);
+                prop_assert_eq!(back.final_loss.to_bits(), loss);
+            }
+        }
+        check();
+    }
+
     #[test]
     fn update_codec_rejects_garbage() {
-        assert!(decode_update(Bytes::from_static(b"short")).is_err());
+        let err = |payload: Bytes| match decode_update(payload) {
+            Err(SimdcError::Serialization(msg)) => msg,
+            other => panic!("expected a serialization error, got {other:?}"),
+        };
+        assert_eq!(
+            err(Bytes::from_static(b"short")),
+            "update payload too short: 5 bytes"
+        );
         let mut buf = BytesMut::new();
         buf.put_u64_le(1);
         buf.put_f64_le(0.0);
         buf.put_u8(9); // truncated model
-        assert!(decode_update(buf.freeze()).is_err());
+        assert_eq!(err(buf.freeze()), "model payload too short: 1 bytes");
+        // A valid payload cut short or padded by a partial or whole weight.
+        let valid = encode_update(&LocalUpdate {
+            model: LrModel::from_parts(vec![0.5, -1.5, 2.0], 0.25),
+            n_samples: 321,
+            final_loss: 0.625,
+        });
+        for k in 1..=7 {
+            let cut = Bytes::copy_from_slice(&valid[..valid.len() - k]);
+            assert_eq!(
+                err(cut),
+                format!(
+                    "model payload length mismatch: expected 12 weight bytes, got {}",
+                    12 - k
+                ),
+                "truncated by {k}"
+            );
+            let mut long = valid.to_vec();
+            long.extend(std::iter::repeat_n(0xAB, k));
+            assert_eq!(
+                err(Bytes::from(long)),
+                format!(
+                    "model payload length mismatch: expected 12 weight bytes, got {}",
+                    12 + k
+                ),
+                "extended by {k}"
+            );
+        }
     }
 
     #[test]

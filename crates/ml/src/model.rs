@@ -1,6 +1,6 @@
 //! The logistic-regression model.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use simdc_types::{Result, SimdcError};
 
@@ -102,13 +102,22 @@ impl LrModel {
     /// storage.
     #[must_use]
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.weights.len() * 4);
-        buf.put_u32_le(self.dim());
-        buf.put_f32_le(self.bias);
-        for &w in &self.weights {
-            buf.put_f32_le(w);
+        let mut out = Vec::with_capacity(self.serialized_size() as usize);
+        self.write_bytes(&mut out);
+        Bytes::from(out)
+    }
+
+    /// Appends the [`LrModel::to_bytes`] payload to `out`, so a caller that
+    /// wraps the model in a larger payload writes it in place instead of
+    /// copying it.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.dim().to_le_bytes());
+        out.extend_from_slice(&self.bias.to_le_bytes());
+        let start = out.len();
+        out.resize(start + self.weights.len() * 4, 0);
+        for (chunk, w) in out[start..].chunks_exact_mut(4).zip(&self.weights) {
+            chunk.copy_from_slice(&w.to_le_bytes());
         }
-        buf.freeze()
     }
 
     /// Deserializes a model produced by [`LrModel::to_bytes`].
@@ -117,29 +126,28 @@ impl LrModel {
     ///
     /// Returns [`SimdcError::Serialization`] if the payload is truncated or
     /// the declared dimension does not match the payload length.
-    pub fn from_bytes(mut payload: Bytes) -> Result<Self> {
-        if payload.len() < 8 {
+    pub fn from_bytes(payload: Bytes) -> Result<Self> {
+        let Some((&[d0, d1, d2, d3, b0, b1, b2, b3], body)) = payload.split_first_chunk::<8>()
+        else {
             return Err(SimdcError::Serialization(format!(
                 "model payload too short: {} bytes",
                 payload.len()
             )));
-        }
-        let dim = payload.get_u32_le() as usize;
-        let bias = payload.get_f32_le();
+        };
+        let dim = u32::from_le_bytes([d0, d1, d2, d3]) as usize;
+        let bias = f32::from_le_bytes([b0, b1, b2, b3]);
         if dim == 0 {
             return Err(SimdcError::Serialization("model dimension is zero".into()));
         }
-        if payload.remaining() != dim * 4 {
+        if body.len() != dim * 4 {
             return Err(SimdcError::Serialization(format!(
                 "model payload length mismatch: expected {} weight bytes, got {}",
                 dim * 4,
-                payload.remaining()
+                body.len()
             )));
         }
-        let mut weights = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            weights.push(payload.get_f32_le());
-        }
+        let (chunks, _) = body.as_chunks::<4>();
+        let weights = chunks.iter().copied().map(f32::from_le_bytes).collect();
         Ok(LrModel { weights, bias })
     }
 
@@ -164,6 +172,7 @@ pub fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn zeros_predicts_half() {
@@ -205,17 +214,51 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_garbage() {
-        assert!(LrModel::from_bytes(Bytes::from_static(&[1, 2, 3])).is_err());
+        let err = |payload: Bytes| match LrModel::from_bytes(payload) {
+            Err(SimdcError::Serialization(msg)) => msg,
+            other => panic!("expected a serialization error, got {other:?}"),
+        };
+        assert_eq!(
+            err(Bytes::from_static(&[1, 2, 3])),
+            "model payload too short: 3 bytes"
+        );
+        assert_eq!(err(Bytes::new()), "model payload too short: 0 bytes");
         // Declared dim 10 but no weights.
         let mut buf = BytesMut::new();
         buf.put_u32_le(10);
         buf.put_f32_le(0.0);
-        assert!(LrModel::from_bytes(buf.freeze()).is_err());
+        assert_eq!(
+            err(buf.freeze()),
+            "model payload length mismatch: expected 40 weight bytes, got 0"
+        );
         // Zero dim.
         let mut buf = BytesMut::new();
         buf.put_u32_le(0);
         buf.put_f32_le(0.0);
-        assert!(LrModel::from_bytes(buf.freeze()).is_err());
+        assert_eq!(err(buf.freeze()), "model dimension is zero");
+        // A valid payload cut short or padded by a partial or whole weight.
+        let valid = LrModel::from_parts(vec![0.5, -1.0, 2.0], 0.25).to_bytes();
+        for k in 1..=7 {
+            let cut = Bytes::copy_from_slice(&valid[..valid.len() - k]);
+            assert_eq!(
+                err(cut),
+                format!(
+                    "model payload length mismatch: expected 12 weight bytes, got {}",
+                    12 - k
+                ),
+                "truncated by {k}"
+            );
+            let mut long = valid.to_vec();
+            long.extend(std::iter::repeat_n(0xAB, k));
+            assert_eq!(
+                err(Bytes::from(long)),
+                format!(
+                    "model payload length mismatch: expected 12 weight bytes, got {}",
+                    12 + k
+                ),
+                "extended by {k}"
+            );
+        }
     }
 
     #[test]
