@@ -4,9 +4,8 @@
 //! This is the experiment that *measures* (rather than asserts) the two
 //! per-fleet-size optimizations in the platform core: the grade-indexed
 //! availability accounting in `PhoneMgr` (per-task cost O(k log F)
-//! instead of a fleet rescan) and the sharded execution path (parallel
-//! fleet construction plus batched plan-phase dispatch behind
-//! `PlatformConfig::threads`). It drives the
+//! instead of a fleet rescan) and sharded fleet construction (parallel
+//! segment builds behind `PlatformConfig::threads`). It drives the
 //! [`simdc_workload::mega_fleet`] scenario — superposed bursty arrivals of
 //! phone-heavy tasks, light churn, a straggler tail — over a fleet scaled
 //! with [`FleetSpec::scaled_paper`], once per thread count, and reports

@@ -403,14 +403,6 @@ impl LogicalCluster {
         self.groups.len()
     }
 
-    /// Number of actor placements an acquired group holds — how many
-    /// actor ids one planned round over it consumes. `None` for unknown
-    /// (released) groups.
-    #[must_use]
-    pub fn group_size(&self, pg_id: PlacementGroupId) -> Option<usize> {
-        self.groups.get(&pg_id).map(|g| g.placements().len())
-    }
-
     /// Atomically reserves a placement group of `count` copies of
     /// `bundle` on the ready nodes. The group stays reserved — blocking
     /// scale-in of its nodes — until [`LogicalCluster::release_job`].
@@ -449,45 +441,58 @@ impl LogicalCluster {
         job: &JobSpec,
         rng: &mut RngStream,
     ) -> Result<JobPlan> {
+        job.validate()?;
         let group = self
             .groups
             .get(&pg_id)
             .ok_or_else(|| SimdcError::InvalidConfig(format!("unknown placement group {pg_id}")))?;
-        plan_round_over(
-            &self.cost,
-            pg_id,
-            group.placements(),
-            job,
-            rng,
-            &mut self.next_actor,
-        )
-    }
 
-    /// Reserves a contiguous block of `n` actor ids and returns the first.
-    /// Worker shards planning rounds against a [`RoundPlanner`] snapshot
-    /// draw from their reserved block instead of this shared counter, so a
-    /// threaded plan allocates exactly the ids the sequential path would.
-    pub fn reserve_actor_ids(&mut self, n: u64) -> u64 {
-        let base = self.next_actor;
-        self.next_actor += n;
-        base
-    }
+        let ready_at = self.cost.pg_create.saturating_add(self.cost.actor_spawn);
+        let download = self.cost.download_time(job.payload_mib);
 
-    /// An immutable snapshot of everything round planning reads — the
-    /// timing model plus each acquired group's node placements — for
-    /// plan-phase work running off-thread. Planning through the snapshot
-    /// and through [`LogicalCluster::plan_round_on_group`] share one code
-    /// path, so rng draw order and every offset are bit-identical.
-    #[must_use]
-    pub fn round_planner(&self) -> RoundPlanner {
-        RoundPlanner {
-            cost: self.cost.clone(),
-            groups: self
-                .groups
-                .iter()
-                .map(|(&id, g)| (id, g.placements().to_vec()))
-                .collect(),
+        let mut actors: Vec<ActorPlan> = group
+            .placements()
+            .iter()
+            .map(|&node| {
+                let actor = ActorId(self.next_actor);
+                self.next_actor += 1;
+                ActorPlan {
+                    actor,
+                    node,
+                    ready_at,
+                    completions: Vec::new(),
+                    finished_at: ready_at,
+                }
+            })
+            .collect();
+
+        // Deal devices round-robin, then walk each actor's queue
+        // sequentially.
+        let mut queues: Vec<Vec<DeviceId>> = vec![Vec::new(); actors.len()];
+        let n_queues = queues.len().max(1);
+        for (i, &dev) in job.devices.iter().enumerate() {
+            queues[i % n_queues].push(dev);
         }
+        let mut makespan = SimDuration::ZERO;
+        for (actor, queue) in actors.iter_mut().zip(queues) {
+            let mut t = ready_at.saturating_add(download);
+            for dev in queue {
+                t = t.saturating_add(self.cost.device_compute(job.grade, rng));
+                actor.completions.push((dev, t));
+                t = t.saturating_add(self.cost.upload_per_device);
+            }
+            actor.finished_at = t;
+            makespan = makespan.max(t);
+        }
+
+        Ok(JobPlan {
+            task: job.task,
+            round: job.round,
+            grade: job.grade,
+            placement_group: pg_id,
+            actors,
+            makespan,
+        })
     }
 
     /// Submits a one-shot job: acquires a placement group against the
@@ -542,106 +547,6 @@ impl LogicalCluster {
     pub fn scale_down(&mut self, keep: usize) -> usize {
         self.pool.scale_down(keep)
     }
-}
-
-/// An immutable snapshot of the cluster state round planning reads: the
-/// timing model and each acquired placement group's node list. Built by
-/// [`LogicalCluster::round_planner`]; safe to move to a worker thread and
-/// plan against while the live cluster keeps serving commits, because round
-/// planning never touches pool occupancy — only the shared actor-id counter,
-/// which workers replace with a block from
-/// [`LogicalCluster::reserve_actor_ids`].
-#[derive(Debug, Clone)]
-pub struct RoundPlanner {
-    cost: CostModel,
-    groups: BTreeMap<PlacementGroupId, Vec<NodeId>>,
-}
-
-impl RoundPlanner {
-    /// Plans one round of `job` over the snapshotted group `pg_id`,
-    /// drawing actor ids from `next_actor` (a cursor into the caller's
-    /// reserved block). Identical in every byte to
-    /// [`LogicalCluster::plan_round_on_group`] given the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidConfig` for a malformed spec or a group missing
-    /// from the snapshot.
-    pub fn plan_round_on_group(
-        &self,
-        pg_id: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-        next_actor: &mut u64,
-    ) -> Result<JobPlan> {
-        let placements = self
-            .groups
-            .get(&pg_id)
-            .ok_or_else(|| SimdcError::InvalidConfig(format!("unknown placement group {pg_id}")))?;
-        plan_round_over(&self.cost, pg_id, placements, job, rng, next_actor)
-    }
-}
-
-/// The one round-planning code path, shared by the live cluster and the
-/// [`RoundPlanner`] snapshot so the two can never drift: deal devices
-/// round-robin over one actor per placement, charge setup + download, then
-/// walk each actor's queue sequentially. `next_actor` is the id cursor —
-/// the cluster passes its own counter, workers a reserved block.
-fn plan_round_over(
-    cost: &CostModel,
-    pg_id: PlacementGroupId,
-    placements: &[NodeId],
-    job: &JobSpec,
-    rng: &mut RngStream,
-    next_actor: &mut u64,
-) -> Result<JobPlan> {
-    job.validate()?;
-
-    let ready_at = cost.pg_create.saturating_add(cost.actor_spawn);
-    let download = cost.download_time(job.payload_mib);
-
-    let mut actors: Vec<ActorPlan> = placements
-        .iter()
-        .map(|&node| {
-            let actor = ActorId(*next_actor);
-            *next_actor += 1;
-            ActorPlan {
-                actor,
-                node,
-                ready_at,
-                completions: Vec::new(),
-                finished_at: ready_at,
-            }
-        })
-        .collect();
-
-    // Deal devices round-robin, then walk each actor's queue
-    // sequentially.
-    let mut queues: Vec<Vec<DeviceId>> = vec![Vec::new(); actors.len()];
-    let n_queues = queues.len().max(1);
-    for (i, &dev) in job.devices.iter().enumerate() {
-        queues[i % n_queues].push(dev);
-    }
-    let mut makespan = SimDuration::ZERO;
-    for (actor, queue) in actors.iter_mut().zip(queues) {
-        let mut t = ready_at.saturating_add(download);
-        for dev in queue {
-            t = t.saturating_add(cost.device_compute(job.grade, rng));
-            actor.completions.push((dev, t));
-            t = t.saturating_add(cost.upload_per_device);
-        }
-        actor.finished_at = t;
-        makespan = makespan.max(t);
-    }
-
-    Ok(JobPlan {
-        task: job.task,
-        round: job.round,
-        grade: job.grade,
-        placement_group: pg_id,
-        actors,
-        makespan,
-    })
 }
 
 #[cfg(test)]

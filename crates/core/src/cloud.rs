@@ -71,16 +71,6 @@ impl Storage {
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
-
-    /// Folds a scratch store into this one: remaining objects move over
-    /// (task-scoped keys cannot collide across tasks) and the scratch's
-    /// lifetime write count joins the bandwidth total, exactly as if every
-    /// `put` had happened here. The merge step of off-thread task planning,
-    /// which gives each worker its own scratch [`Storage`].
-    pub fn absorb(&mut self, scratch: Storage) {
-        self.bytes_written += scratch.bytes_written;
-        self.map.extend(scratch.map);
-    }
 }
 
 /// Serializes a [`LocalUpdate`] into the payload devices upload.

@@ -19,10 +19,9 @@
 //!   Execution is split into a *plan* phase (compute the per-round
 //!   timeline, reserve benchmark phones) and a *commit* phase (take the
 //!   measurements), so the platform can schedule completions as events.
-//! * [`shard`] / [`dispatch`] — sharded parallel execution: fleet
-//!   construction fanned out over a fixed worker pool, and batched
-//!   plan-phase computation whose deterministic admission-order merge
-//!   keeps `--threads N` byte-identical to `--threads 1`.
+//! * [`shard`] — sharded fleet construction: phone segments built on a
+//!   fixed worker pool and concatenated in id order, so `--threads N`
+//!   fleets are byte-identical to `--threads 1` fleets.
 //! * [`invariants`] — the platform-invariant oracles (freeze/release
 //!   pairing, capacity bounds, terminal-state immutability, billing
 //!   reconciliation) shared by the debug assertions and the scenario
@@ -66,7 +65,6 @@
 
 pub mod alloc;
 pub mod cloud;
-pub mod dispatch;
 pub mod invariants;
 pub mod platform;
 pub mod queue;

@@ -51,12 +51,12 @@ pub struct PlatformConfig {
     pub runner: RunnerConfig,
     /// Platform seed (forked per phone/task).
     pub seed: u64,
-    /// Worker threads for sharded execution: fleet construction and
-    /// plan-phase computation fan out over a fixed pool of this size.
-    /// `0` and `1` both mean fully sequential (the classic code path).
-    /// Results are byte-identical for every value — threads only change
-    /// wall-clock time — so the knob is excluded from serialized configs
-    /// and golden fixtures.
+    /// Worker threads for sharded fleet construction: the phone fleet is
+    /// built over a fixed pool of this size. Task admission and planning
+    /// always run sequentially on the calling thread. `0` and `1` both
+    /// build the fleet inline. Results are byte-identical for every
+    /// value — threads only change wall-clock time — so the knob is
+    /// excluded from serialized configs and golden fixtures.
     #[serde(skip)]
     pub threads: usize,
 }
@@ -158,9 +158,6 @@ pub struct Platform {
     completion_events: u64,
     /// Node-ready (elastic scale-up) events processed so far.
     cluster_events: u64,
-    /// Fixed worker pool for sharded execution; a 1-thread pool keeps
-    /// every code path sequential.
-    pool: minipool::FixedPool,
     clock: SimInstant,
 }
 
@@ -203,7 +200,6 @@ impl Platform {
             events: EventQueue::new(),
             completion_events: 0,
             cluster_events: 0,
-            pool,
             clock: SimInstant::EPOCH,
         }
     }
@@ -330,19 +326,17 @@ impl Platform {
                     reqs.get(&spec.id).is_none_or(|r| cluster.can_place_all(r))
                 })
         };
-        let admitted = if self.pool.threads() > 1 && started.len() >= 2 {
-            self.admit_batch(started)
-        } else {
-            self.admit_sequential(started)
-        };
+        let admitted = self.admit(started);
         self.autoscale_for_pending();
         admitted
     }
 
-    /// Sequential admission: each started task runs its full plan before
-    /// the next task's placement re-trial. This is the reference ordering
-    /// the batch path reproduces.
-    fn admit_sequential(&mut self, started: Vec<TaskId>) -> usize {
+    /// Admits the tasks the scheduler started, in admission order: each
+    /// runs its full plan — benchmark-phone selection and submission,
+    /// placement-group acquisition — before the next task's placement
+    /// re-trial, so a later task in the same pass sees every earlier
+    /// task's phones busy and groups held.
+    fn admit(&mut self, started: Vec<TaskId>) -> usize {
         let mut admitted = 0;
         for id in started {
             // Re-run the placement trial against the *current* pool: a
@@ -380,101 +374,6 @@ impl Platform {
                 &mut self.storage,
                 start,
             ) {
-                Ok(plan) => {
-                    self.events
-                        .push(plan.finished_at(), PlatformEvent::Completion(id));
-                    self.plans.insert(id, plan);
-                    self.placement_reqs.remove(&id);
-                    admitted += 1;
-                }
-                Err(err) => {
-                    self.rm.release(id);
-                    self.placement_reqs.remove(&id);
-                    let _ = self.queue.mark_failed(id, err.to_string());
-                }
-            }
-        }
-        admitted
-    }
-
-    /// Batched admission: the serial prepare step runs per task in
-    /// admission order (placement re-trial, `mark_running`, device
-    /// binding with the reserved-phone overlay, group acquisition,
-    /// actor-id reservation), the expensive plan-phase computation fans
-    /// out over the worker pool, and results merge back in admission
-    /// order — completion events are pushed in the same order the
-    /// sequential path would push them, so `(time, seq)` pairs match.
-    ///
-    /// One documented divergence: a task whose plan fails *in the worker*
-    /// releases its placement groups at merge, after every placement
-    /// re-trial has already run, whereas the sequential path releases
-    /// them before later tasks' trials. A later task whose placement only
-    /// fits in the failed task's absence therefore waits for the next
-    /// scheduling pass instead of admitting in this one. Plan failures
-    /// after group acquisition cannot occur in the shipped scenarios, so
-    /// threaded parity holds end-to-end there.
-    fn admit_batch(&mut self, started: Vec<TaskId>) -> usize {
-        let mut reserved: std::collections::BTreeSet<simdc_types::PhoneId> =
-            std::collections::BTreeSet::new();
-        let mut prepared: Vec<(TaskId, crate::dispatch::Prepared)> =
-            Vec::with_capacity(started.len());
-        let mut admitted = 0;
-        for id in started {
-            // Same re-trial as the sequential path: prepare acquires each
-            // admitted task's groups immediately, so the pool this trial
-            // sees matches what sequential admission would have seen.
-            let still_places = self
-                .placement_reqs
-                .get(&id)
-                .is_none_or(|r| self.cluster.can_place_all(r));
-            if !still_places {
-                self.rm.release(id);
-                continue;
-            }
-            let start = self.clock;
-            if self.queue.mark_running(id, start).is_err() {
-                self.rm.release(id);
-                continue;
-            }
-            let spec = self.queue.get(id).expect("just marked").spec.clone();
-            let dataset = self
-                .datasets
-                .get(&id)
-                .expect("dataset registered at submit")
-                .clone();
-            let req = crate::dispatch::PlanRequest {
-                spec,
-                dataset,
-                start,
-            };
-            match crate::dispatch::prepare(
-                &self.runner,
-                req,
-                &mut self.cluster,
-                &self.phones,
-                &reserved,
-            ) {
-                Ok(p) => {
-                    reserved.extend(p.reserved_phones());
-                    prepared.push((id, p));
-                }
-                Err(err) => {
-                    self.rm.release(id);
-                    self.placement_reqs.remove(&id);
-                    let _ = self.queue.mark_failed(id, err.to_string());
-                }
-            }
-        }
-        let outcomes = crate::dispatch::compute_and_merge(
-            &self.runner,
-            prepared,
-            &mut self.cluster,
-            &mut self.phones,
-            &mut self.storage,
-            &self.pool,
-        );
-        for (id, result) in outcomes {
-            match result {
                 Ok(plan) => {
                     self.events
                         .push(plan.finished_at(), PlatformEvent::Completion(id));
@@ -953,7 +852,8 @@ mod tests {
     use crate::cloud::AggregationTrigger;
     use crate::spec::GradeRequirement;
     use simdc_data::GeneratorConfig;
-    use simdc_types::DeviceGrade;
+    use simdc_types::{DeviceGrade, PhoneId};
+    use std::collections::BTreeSet;
 
     fn dataset() -> Arc<CtrDataset> {
         Arc::new(CtrDataset::generate(&GeneratorConfig {
@@ -1016,11 +916,11 @@ mod tests {
         }
     }
 
-    /// The tentpole determinism guarantee, at platform granularity: a
-    /// threaded run — parallel fleet build plus batched plan-phase
-    /// dispatch — is byte-identical to the sequential run. Three tasks
-    /// submitted before the first scheduling pass admit together, so the
-    /// batch path (prepare / compute / merge) actually executes.
+    /// The determinism guarantee, at platform granularity: a threaded
+    /// run — parallel fleet build, then the one sequential admission
+    /// path — is byte-identical to the sequential run. Three tasks
+    /// submitted before the first scheduling pass admit in one pass, so
+    /// admission order within a pass is covered too.
     #[test]
     fn threaded_run_is_byte_identical_to_sequential() {
         let run = |threads: usize| {
@@ -1053,6 +953,70 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(run(threads), sequential, "threads={threads} diverged");
         }
+    }
+
+    /// One scheduling pass admits three tasks that each need two
+    /// benchmark phones of the same grade, on a fleet with exactly six
+    /// idle phones of that grade: each task's selection must see the
+    /// phones the tasks before it took as busy, so all three admit with
+    /// pairwise disjoint benchmark phones — at every thread count.
+    #[test]
+    fn same_pass_admissions_never_double_book_benchmark_phones() {
+        let spec = |id: u64| {
+            TaskSpec::builder(TaskId(id))
+                .rounds(2)
+                .grade(GradeRequirement {
+                    grade: DeviceGrade::High,
+                    total_devices: 10,
+                    benchmark_phones: 2,
+                    logical_unit_bundles: 24,
+                    units_per_device: 8,
+                    phones: 0,
+                })
+                .trigger(AggregationTrigger::DeviceThreshold { min_devices: 10 })
+                .seed(id)
+                .build()
+                .unwrap()
+        };
+        let run = |threads: usize| {
+            let mut platform = Platform::new(PlatformConfig {
+                fleet: FleetSpec {
+                    local: PerGrade::from_parts(6, 0),
+                    msp: PerGrade::from_parts(0, 0),
+                },
+                threads,
+                ..PlatformConfig::default()
+            });
+            let data = dataset();
+            for id in 1..=3 {
+                platform.submit(spec(id), data.clone()).unwrap();
+            }
+            assert_eq!(platform.admit_now(), 3, "all three admit in one pass");
+            assert_eq!(*platform.status().free_phones.get(DeviceGrade::High), 0);
+            assert_eq!(platform.run_until_idle(), 3);
+            let phone_sets: Vec<BTreeSet<PhoneId>> = (1..=3)
+                .map(|id| {
+                    let report = platform.report(TaskId(id)).expect("task completed");
+                    report.benchmark_reports.iter().map(|r| r.phone).collect()
+                })
+                .collect();
+            for (i, a) in phone_sets.iter().enumerate() {
+                assert_eq!(a.len(), 2, "task {} measured both phones", i + 1);
+                for b in &phone_sets[i + 1..] {
+                    assert!(a.is_disjoint(b), "benchmark phones double-booked");
+                }
+            }
+            let reports: Vec<String> = (1..=3)
+                .map(|id| format!("{:?}", platform.report(TaskId(id)).unwrap()))
+                .collect();
+            (
+                phone_sets,
+                reports,
+                format!("{:?}", platform.status()),
+                platform.storage().bytes_written(),
+            )
+        };
+        assert_eq!(run(2), run(1), "threads=2 diverged from threads=1");
     }
 
     #[test]

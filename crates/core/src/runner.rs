@@ -16,12 +16,14 @@
 //!
 //! Everything is deterministic given the task seed and start instant.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 use simdc_cluster::{JobSpec, LogicalCluster, PlacementGroupId};
 use simdc_data::CtrDataset;
 use simdc_deviceflow::{DeviceFlow, FlowHarness};
 use simdc_ml::{evaluate, EvalMetrics, FedAvg, KernelKind, LocalTrainer, LrModel};
-use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile};
+use simdc_phone::{PerfReport, PhoneMgr, PhoneProfile, RunPlan};
 use simdc_simrt::RngStream;
 use simdc_types::{
     DeviceId, Message, MessageId, PhoneId, ResourceBundle, Result, RoundId, SimDuration,
@@ -138,20 +140,6 @@ pub struct TaskPlan {
 }
 
 impl TaskPlan {
-    /// Assembles a plan from its parts — the batch dispatcher's merge
-    /// step builds plans this way after workers compute the timelines.
-    pub(crate) fn assemble(
-        report: TaskReport,
-        benchmark_phones: Vec<PhoneId>,
-        groups: Vec<PlacementGroupId>,
-    ) -> Self {
-        TaskPlan {
-            report,
-            benchmark_phones,
-            groups,
-        }
-    }
-
     /// The planned task.
     #[must_use]
     pub fn task(&self) -> TaskId {
@@ -184,67 +172,10 @@ impl Default for TaskRunner {
     }
 }
 
-pub(crate) struct GradePlacement {
-    pub(crate) logical_devices: Vec<DeviceId>,
-    pub(crate) phone_devices: Vec<DeviceId>,
-    pub(crate) benchmark_devices: Vec<(DeviceId, PhoneId)>,
-}
-
-/// What [`TaskRunner::plan_timeline`] needs from the world: grade
-/// profiles, cloud round planning and benchmark-run submission. Two
-/// implementations exist — the live substrates (`LiveSubstrate`, used by
-/// the sequential path) and the snapshot substrate built by
-/// [`crate::dispatch`] for plan-phase work running on worker threads.
-/// Both feed the *same* `plan_timeline` body, so the sequential and
-/// threaded paths cannot drift.
-pub(crate) trait PlanSubstrate {
-    /// Fleet-averaged behaviour profile of a grade.
-    fn effective_profile(&self, grade: simdc_types::DeviceGrade) -> PhoneProfile;
-    /// The profile a concrete benchmark phone is measured at (nominal
-    /// grade profile when the phone is unknown).
-    fn benchmark_profile(&self, grade: simdc_types::DeviceGrade, phone: PhoneId) -> PhoneProfile;
-    /// Plans one cloud round over an acquired placement group.
-    fn plan_round(
-        &mut self,
-        pg: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-    ) -> Result<simdc_cluster::JobPlan>;
-    /// Reserves a benchmark phone by assigning its run plan (live) or
-    /// deferring the assignment to the merge step (snapshot).
-    fn submit_run(&mut self, phone: PhoneId, plan: simdc_phone::RunPlan) -> Result<()>;
-}
-
-/// The sequential substrate: borrows the platform's live cluster and
-/// fleet, so `plan_timeline` mutates them directly.
-pub(crate) struct LiveSubstrate<'a> {
-    pub(crate) cluster: &'a mut LogicalCluster,
-    pub(crate) phones: &'a mut PhoneMgr,
-}
-
-impl PlanSubstrate for LiveSubstrate<'_> {
-    fn effective_profile(&self, grade: simdc_types::DeviceGrade) -> PhoneProfile {
-        self.phones.effective_profile(grade)
-    }
-
-    fn benchmark_profile(&self, grade: simdc_types::DeviceGrade, phone: PhoneId) -> PhoneProfile {
-        self.phones
-            .phone(phone)
-            .map_or_else(|| PhoneProfile::for_grade(grade), |p| p.profile().clone())
-    }
-
-    fn plan_round(
-        &mut self,
-        pg: PlacementGroupId,
-        job: &JobSpec,
-        rng: &mut RngStream,
-    ) -> Result<simdc_cluster::JobPlan> {
-        self.cluster.plan_round_on_group(pg, job, rng)
-    }
-
-    fn submit_run(&mut self, phone: PhoneId, plan: simdc_phone::RunPlan) -> Result<()> {
-        self.phones.submit_run(phone, plan)
-    }
+struct GradePlacement {
+    logical_devices: Vec<DeviceId>,
+    phone_devices: Vec<DeviceId>,
+    benchmark_devices: Vec<(DeviceId, PhoneId)>,
 }
 
 impl TaskRunner {
@@ -385,7 +316,6 @@ impl TaskRunner {
     /// # Errors
     ///
     /// Returns validation/allocation/resource errors.
-    #[allow(clippy::too_many_lines)]
     pub fn plan(
         &self,
         spec: &TaskSpec,
@@ -400,13 +330,8 @@ impl TaskRunner {
         let mut rng = RngStream::named(spec.seed, &format!("task/{}", spec.id.0));
 
         // --- Device placement -------------------------------------------
-        let placements = Self::place_devices(spec, &allocation, |grade, count| {
-            phones.select(grade, count, start)
-        })?;
-
-        Self::check_phone_grades(spec, &placements, |grade| {
-            phones.try_effective_profile(grade).is_some()
-        })?;
+        let placements = Self::place_devices(spec, &allocation, phones, start)?;
+        Self::check_phone_grades(spec, &placements, phones)?;
 
         // --- Placement-group acquisition --------------------------------
         // One group per grade with logical devices, acquired at admission
@@ -419,18 +344,54 @@ impl TaskRunner {
         let grade_groups = Self::acquire_grade_groups(spec, &placements, cluster)?;
         let groups: Vec<PlacementGroupId> = grade_groups.iter().flatten().copied().collect();
 
-        // Everything past acquisition must give the groups back on error.
-        let planned = self.plan_timeline(
-            spec,
-            dataset,
-            &mut LiveSubstrate { cluster, phones },
-            storage,
-            start,
-            allocation,
-            &placements,
-            &grade_groups,
-            &mut rng,
-        );
+        // The profiles the timeline reads. Planning assigns no benchmark
+        // run until after the timeline returns, and nothing else it does
+        // touches the fleet, so reading them up front equals reading them
+        // mid-plan. Each benchmark placement names a concrete phone, so its
+        // measurement windows come from that phone's own profile — a
+        // straggler benchmark phone is measured at its real (slowed) pace,
+        // not the fleet average.
+        let effective: Vec<PhoneProfile> = spec
+            .grades
+            .iter()
+            .map(|g| phones.effective_profile(g.grade))
+            .collect();
+        let mut bench_profiles: BTreeMap<PhoneId, PhoneProfile> = BTreeMap::new();
+        for (g, placement) in spec.grades.iter().zip(&placements) {
+            for &(_dev, phone) in &placement.benchmark_devices {
+                let profile = phones
+                    .phone(phone)
+                    .map_or_else(|| PhoneProfile::for_grade(g.grade), |p| p.profile().clone());
+                bench_profiles.insert(phone, profile);
+            }
+        }
+
+        // Everything past acquisition must give the groups back on error:
+        // a failed timeline, or a failed benchmark-run submission (earlier
+        // submissions of the same task stand).
+        let planned = self
+            .plan_timeline(
+                spec,
+                dataset,
+                cluster,
+                storage,
+                start,
+                allocation,
+                &placements,
+                &grade_groups,
+                &effective,
+                &bench_profiles,
+                &mut rng,
+            )
+            .and_then(|(report, runs)| {
+                let mut benchmark_phones = Vec::with_capacity(runs.len());
+                for run in runs {
+                    let phone = run.phone;
+                    phones.submit_run(phone, run)?;
+                    benchmark_phones.push(phone);
+                }
+                Ok((report, benchmark_phones))
+            });
         match planned {
             Ok((report, benchmark_phones)) => Ok(TaskPlan {
                 report,
@@ -447,18 +408,13 @@ impl TaskRunner {
     }
 
     /// Deals device ids to grades in allocation order and binds benchmark
-    /// devices to concrete phones via `select` — the sequential path
-    /// queries the live fleet, the batch dispatcher layers a
-    /// reserved-phone overlay on the same query. One body for both, so
-    /// device numbering and selection order cannot drift.
-    pub(crate) fn place_devices<F>(
+    /// devices to concrete idle phones.
+    fn place_devices(
         spec: &TaskSpec,
         allocation: &Allocation,
-        mut select: F,
-    ) -> Result<Vec<GradePlacement>>
-    where
-        F: FnMut(simdc_types::DeviceGrade, usize) -> Result<Vec<PhoneId>>,
-    {
+        phones: &PhoneMgr,
+        start: SimInstant,
+    ) -> Result<Vec<GradePlacement>> {
         let mut placements: Vec<GradePlacement> = Vec::with_capacity(spec.grades.len());
         let mut next_device: u64 = 0;
         for (g, alloc) in spec.grades.iter().zip(&allocation.grades) {
@@ -471,7 +427,7 @@ impl TaskRunner {
             let phone_devices = take(alloc.phone_devices);
             let benchmark_ids = take(alloc.benchmark_devices);
             let benchmark_phones = if alloc.benchmark_devices > 0 {
-                select(g.grade, alloc.benchmark_devices as usize)?
+                phones.select(g.grade, alloc.benchmark_devices as usize, start)?
             } else {
                 Vec::new()
             };
@@ -489,15 +445,15 @@ impl TaskRunner {
     /// average. A task placing devices on that grade's phone cluster
     /// must surface resource exhaustion instead of silently planning
     /// with the static paper profile of phones that do not exist.
-    pub(crate) fn check_phone_grades(
+    fn check_phone_grades(
         spec: &TaskSpec,
         placements: &[GradePlacement],
-        has_profile: impl Fn(simdc_types::DeviceGrade) -> bool,
+        phones: &PhoneMgr,
     ) -> Result<()> {
         for (g, placement) in spec.grades.iter().zip(placements) {
             let needs_phones =
                 !placement.phone_devices.is_empty() || !placement.benchmark_devices.is_empty();
-            if needs_phones && !has_profile(g.grade) {
+            if needs_phones && phones.try_effective_profile(g.grade).is_none() {
                 return Err(SimdcError::ResourceExhausted {
                     requested: format!("{} phone-cluster devices for task {}", g.grade, spec.id),
                     available: format!("0 {} phones registered", g.grade),
@@ -509,7 +465,7 @@ impl TaskRunner {
 
     /// Acquires one placement group per grade with logical devices,
     /// rolling back the task's own partial acquisitions on failure.
-    pub(crate) fn acquire_grade_groups(
+    fn acquire_grade_groups(
         spec: &TaskSpec,
         placements: &[GradePlacement],
         cluster: &mut LogicalCluster,
@@ -536,22 +492,28 @@ impl TaskRunner {
     }
 
     /// The fallible tail of [`TaskRunner::plan`]: rounds, DeviceFlow
-    /// routing, aggregation and benchmark reservation over already
+    /// routing, aggregation and the benchmark run plans over already
     /// acquired placement groups. Split out so `plan` can release the
-    /// groups on any error.
+    /// groups on any error. It reads the fleet only through the profiles
+    /// `plan` hands it (`effective` per spec grade, `bench_profiles` per
+    /// bound benchmark phone) and returns the benchmark [`RunPlan`]s in
+    /// reservation order instead of submitting them, so it never touches
+    /// the phone manager.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    pub(crate) fn plan_timeline<S: PlanSubstrate>(
+    fn plan_timeline(
         &self,
         spec: &TaskSpec,
         dataset: &CtrDataset,
-        substrate: &mut S,
+        cluster: &mut LogicalCluster,
         storage: &mut Storage,
         start: SimInstant,
         allocation: Allocation,
         placements: &[GradePlacement],
         grade_groups: &[Option<PlacementGroupId>],
+        effective: &[PhoneProfile],
+        bench_profiles: &BTreeMap<PhoneId, PhoneProfile>,
         rng: &mut RngStream,
-    ) -> Result<(TaskReport, Vec<PhoneId>)> {
+    ) -> Result<(TaskReport, Vec<RunPlan>)> {
         // --- DeviceFlow -------------------------------------------------
         let mut harness = spec.strategy.as_ref().map(|strategy| {
             let mut flow = DeviceFlow::new();
@@ -582,14 +544,19 @@ impl TaskRunner {
             let payload_mib =
                 self.config.data_payload_mib + global.serialized_size() as f64 / (1024.0 * 1024.0);
 
-            for ((g, placement), group) in spec.grades.iter().zip(placements).zip(grade_groups) {
+            for (((g, placement), group), profile) in spec
+                .grades
+                .iter()
+                .zip(placements)
+                .zip(grade_groups)
+                .zip(effective)
+            {
                 // Effective (fleet-averaged) profile, so stragglers and
                 // other per-phone perturbations stretch the actual wave
                 // timing — the optimizer plans with nominal profiles.
                 // Grades that place phone work were verified non-empty
                 // right after placement, so the nominal fallback here can
                 // only ever serve fully-logical grades.
-                let profile = substrate.effective_profile(g.grade);
                 // Logical side: plan this round over the task's standing
                 // placement group (acquired once, released at completion).
                 if let Some(pg) = group {
@@ -602,7 +569,7 @@ impl TaskRunner {
                         units_per_device: g.units_per_device as u32,
                         payload_mib,
                     };
-                    let plan = substrate.plan_round(*pg, &job, rng)?;
+                    let plan = cluster.plan_round_on_group(*pg, &job, rng)?;
                     for (dev, offset) in plan.device_completions() {
                         let at = round_start + offset;
                         compute_finished = compute_finished.max(at);
@@ -755,28 +722,19 @@ impl TaskRunner {
         }
 
         // --- Benchmark reservation ---------------------------------------
-        // Submitting the run plans here (not at commit) keeps the phones
-        // busy over their measurement windows, so a task admitted mid-run
-        // cannot double-book them; the measurements themselves wait for
-        // the commit phase.
-        let mut benchmark_phones = Vec::new();
+        // `plan` submits these run plans right after the timeline (not at
+        // commit), which keeps the phones busy over their measurement
+        // windows, so a task admitted mid-run cannot double-book them; the
+        // measurements themselves wait for the commit phase.
+        let mut runs = Vec::new();
         let mut finished_at = rounds.last().map_or(start, |r| r.aggregated_at);
         if self.config.measure_benchmarks {
-            for (g, placement) in spec.grades.iter().zip(placements) {
-                if placement.benchmark_devices.is_empty() {
-                    continue;
-                }
+            for placement in placements {
                 for &(_dev, phone) in &placement.benchmark_devices {
-                    // Each benchmark placement names a concrete phone, so
-                    // its measurement windows come from that phone's own
-                    // profile — a straggler benchmark phone is measured at
-                    // its real (slowed) pace, not the fleet average.
-                    let profile = substrate.benchmark_profile(g.grade, phone);
-                    let (durations, gaps) = benchmark_windows(&rounds, &profile);
-                    let plan = simdc_phone::RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
+                    let (durations, gaps) = benchmark_windows(&rounds, &bench_profiles[&phone]);
+                    let plan = RunPlan::new(spec.id, phone, start, &durations, &gaps)?;
                     finished_at = finished_at.max(plan.end());
-                    substrate.submit_run(phone, plan)?;
-                    benchmark_phones.push(phone);
+                    runs.push(plan);
                 }
             }
         }
@@ -791,7 +749,7 @@ impl TaskRunner {
                 final_model: global,
                 benchmark_reports: Vec::new(),
             },
-            benchmark_phones,
+            runs,
         ))
     }
 

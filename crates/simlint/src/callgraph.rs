@@ -14,10 +14,10 @@
 //!
 //! Like the rest of simlint the graph is context-insensitive: a
 //! function body is one node regardless of who calls it. Where that
-//! over-approximates (e.g. the sequential `LiveSubstrate` path being
-//! linked from worker code through the shared `PlanSubstrate` bound),
-//! the exception is a named, reviewed `exempt` entry in `simlint.toml`
-//! — never a weaker graph.
+//! over-approximates (e.g. a serial-only trait impl being linked from
+//! worker code through a generic bound the worker shares with it), the
+//! exception is a named, reviewed `exempt` entry in `simlint.toml` —
+//! never a weaker graph.
 
 use std::collections::BTreeMap;
 
@@ -216,7 +216,7 @@ fn resolve_call(
                     // vendored): record it for sink matching, no edges.
                     rc.recv_types.push(qualifier);
                 } else {
-                    // Module-path call (`crate::dispatch::prepare`).
+                    // Module-path call (`crate::shard::build_fleet`).
                     rc.targets = symbols.resolve_free(&name, &entry.file);
                 }
             }

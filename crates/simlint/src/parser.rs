@@ -9,7 +9,7 @@
 //! * struct definitions with field → type-head mappings, so a method
 //!   receiver like `self.rm` can be typed;
 //! * `impl Trait for Type` relations, so calls through a generic
-//!   `S: PlanSubstrate` bound resolve to every implementation;
+//!   `S: Substrate` bound resolve to every implementation;
 //! * inline `mod` nesting (walked transparently — symbol resolution in
 //!   SimDC is by bare name within crate/workspace scope, which matches
 //!   how the sim crates actually import things).

@@ -14,8 +14,8 @@
 //! flags any reachable call matching a configured sink. Diagnostics name
 //! the full entry-point → sink path so a violation reads as the race it
 //! would become. `exempt` entries prune the walk — the reviewed escape
-//! hatch for context-insensitivity (e.g. the sequential `LiveSubstrate`
-//! path reachable only through the shared `PlanSubstrate` bound).
+//! hatch for context-insensitivity (e.g. a serial-only trait impl
+//! reachable only through a generic bound a worker shares with it).
 //!
 //! The same pass upgrades D3 freeze/release from receiver-name token
 //! matching to call-graph-aware pairing: any call whose *resolved

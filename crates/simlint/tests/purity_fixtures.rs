@@ -3,7 +3,7 @@
 //! call-graph analysis end to end — every P-rule fires with an exact,
 //! path-naming diagnostic on the seeded tree and stays silent on its
 //! pure twin. A final test proves the acceptance criterion on the real
-//! tree: moving a lease release into the compute phase is caught.
+//! tree: moving a lease release into the plan body is caught.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -127,9 +127,9 @@ fn real_sources(root: &Path) -> Vec<(String, String)> {
     out
 }
 
-/// The ISSUE's acceptance criterion, run against the *real* tree and the
+/// The worker-purity contract, checked against the *real* tree and the
 /// *real* policy without touching the checkout: injecting an
-/// `rm.release(...)` into the compute phase of `compute_one` must
+/// `rm.release(...)` into the plan body `TaskRunner::plan_timeline` must
 /// produce a P1 finding that names the worker entry.
 #[test]
 fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
@@ -155,17 +155,20 @@ fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
     assert!(graph.functions > 500, "graph too small: {graph:?}");
     assert!(graph.edges > 1000, "graph too sparse: {graph:?}");
 
-    // Inject the race: a lease release inside the parallel compute step.
-    let dispatch = sources
+    // Inject the race: a lease release inside the worker-entry plan body.
+    let runner = sources
         .iter_mut()
-        .find(|(rel, _)| rel == "crates/core/src/dispatch.rs")
-        .expect("dispatch.rs is in scope");
-    let anchor = "let mut scratch = Storage::new();";
-    assert!(dispatch.1.contains(anchor), "compute_one anchor moved");
-    dispatch.1 = dispatch.1.replace(
-        anchor,
-        "let mut scratch = Storage::new();\n    rm.release(p.spec.id);",
+        .find(|(rel, _)| rel == "crates/core/src/runner.rs")
+        .expect("runner.rs is in scope");
+    let anchor = "let trainer = LocalTrainer::new(spec.train);";
+    assert_eq!(
+        runner.1.matches(anchor).count(),
+        1,
+        "plan_timeline anchor moved"
     );
+    runner.1 = runner
+        .1
+        .replace(anchor, &format!("{anchor}\n        rm.release(spec.id);"));
 
     let (findings, _) = analyze_sources(&sources, &cfg);
     let p1: Vec<String> = findings
@@ -175,9 +178,9 @@ fn injected_release_in_compute_phase_is_caught_on_the_real_tree() {
         .collect();
     assert_eq!(p1.len(), 1, "exactly one P1 expected: {findings:?}");
     assert!(
-        p1[0].contains("crates/core/src/dispatch.rs")
+        p1[0].starts_with("crates/core/src/runner.rs")
             && p1[0].contains("`ResourceManager::release`")
-            && p1[0].contains("`compute_one`"),
+            && p1[0].contains("`TaskRunner::plan_timeline`"),
         "P1 must name the sink and the worker entry: {}",
         p1[0]
     );

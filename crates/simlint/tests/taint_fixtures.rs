@@ -230,31 +230,41 @@ fn clean_real_tree() -> (Vec<(String, String)>, Config) {
     (sources, cfg)
 }
 
-const DISPATCH_ANCHOR: &str =
-    "let mut rng = RngStream::named(p.spec.seed, &format!(\"task/{}\", p.spec.id.0));";
+/// A statement of `TaskRunner::plan_timeline`, past the DeviceFlow set-up,
+/// where injected code still has the task's `rng` in scope.
+const PLAN_TIMELINE_ANCHOR: &str = "let trainer = LocalTrainer::new(spec.train);";
 
-fn inject_into_compute_one(sources: &mut [(String, String)], extra: &str) {
-    let dispatch = sources
+/// Injects `extra` right after [`PLAN_TIMELINE_ANCHOR`] and returns the
+/// 1-based line number the injection lands on.
+fn inject_into_plan_timeline(sources: &mut [(String, String)], extra: &str) -> usize {
+    let runner = sources
         .iter_mut()
-        .find(|(rel, _)| rel == "crates/core/src/dispatch.rs")
-        .expect("dispatch.rs is in scope");
-    assert!(
-        dispatch.1.contains(DISPATCH_ANCHOR),
-        "compute_one anchor moved"
+        .find(|(rel, _)| rel == "crates/core/src/runner.rs")
+        .expect("runner.rs is in scope");
+    assert_eq!(
+        runner.1.matches(PLAN_TIMELINE_ANCHOR).count(),
+        1,
+        "plan_timeline anchor moved"
     );
-    dispatch.1 = dispatch
-        .1
-        .replace(DISPATCH_ANCHOR, &format!("{DISPATCH_ANCHOR}\n    {extra}"));
+    let at = runner.1.find(PLAN_TIMELINE_ANCHOR).expect("anchor present");
+    // The prefix ends in the anchor line's indentation, so `lines()`
+    // counts the anchor line itself; the injection lands one below.
+    let line = runner.1[..at].lines().count() + 1;
+    runner.1 = runner.1.replace(
+        PLAN_TIMELINE_ANCHOR,
+        &format!("{PLAN_TIMELINE_ANCHOR}\n        {extra}"),
+    );
+    line
 }
 
 /// Acceptance criterion, T1 on the real tree: forking a second stream
-/// with the label `"deviceflow"` inside `compute_one` collides with the
-/// existing fork in `TaskRunner::plan_timeline` (crates/core/runner.rs),
-/// and both sites are reported, each naming the other.
+/// with the label `"deviceflow"` inside `TaskRunner::plan_timeline`
+/// collides with the function's existing DeviceFlow fork, and both sites
+/// are reported, each naming the other.
 #[test]
 fn injected_label_collision_is_caught_on_the_real_tree() {
     let (mut sources, cfg) = clean_real_tree();
-    inject_into_compute_one(&mut sources, "let mut dup = rng.fork(\"deviceflow\");");
+    let line = inject_into_plan_timeline(&mut sources, "let mut dup = rng.fork(\"deviceflow\");");
 
     let (findings, _) = analyze_sources(&sources, &cfg);
     let t1: Vec<String> = findings
@@ -263,36 +273,45 @@ fn injected_label_collision_is_caught_on_the_real_tree() {
         .map(ToString::to_string)
         .collect();
     assert_eq!(t1.len(), 2, "both collision sites expected: {findings:?}");
+    let injected_at = format!("crates/core/src/runner.rs:{line}:");
     let injected = t1
         .iter()
-        .find(|m| m.starts_with("crates/core/src/dispatch.rs"))
-        .expect("injected site reported");
+        .find(|m| m.starts_with(&injected_at))
+        .unwrap_or_else(|| panic!("injected site {injected_at} not reported: {t1:?}"));
     let existing = t1
         .iter()
-        .find(|m| m.starts_with("crates/core/src/runner.rs"))
+        .find(|m| !m.starts_with(&injected_at))
         .expect("existing plan_timeline site reported");
+    let existing_at = existing
+        .split(": [")
+        .next()
+        .expect("finding starts with its location");
+    assert!(
+        existing.starts_with("crates/core/src/runner.rs:"),
+        "existing site is the DeviceFlow fork in runner.rs: {existing}"
+    );
     assert!(
         injected.contains("\"deviceflow\"")
-            && injected.contains("is also used at crates/core/src/runner.rs")
-            && injected.contains("`compute_one`"),
+            && injected.contains(&format!("is also used at {existing_at} "))
+            && injected.contains("`TaskRunner::plan_timeline`"),
         "injected site must name the label, the other site and the entry: {injected}"
     );
     assert!(
-        existing.contains("is also used at crates/core/src/dispatch.rs")
+        existing.contains(&format!("is also used at {injected_at}"))
             && existing.contains("`TaskRunner::plan_timeline`"),
         "existing site must point back at the injection: {existing}"
     );
 }
 
 /// Acceptance criterion, T4 on the real tree: reseeding a stream from a
-/// draw inside `compute_one` must produce a seed-provenance finding on
-/// a path from the worker entry.
+/// draw inside `TaskRunner::plan_timeline` must produce a
+/// seed-provenance finding on a path from the worker entry.
 #[test]
 fn injected_drawn_reseed_is_caught_on_the_real_tree() {
     let (mut sources, cfg) = clean_real_tree();
-    inject_into_compute_one(
+    inject_into_plan_timeline(
         &mut sources,
-        "let reseed = rng.next_u64();\n    let mut rogue = RngStream::named(reseed, \"task/rogue\");",
+        "let reseed = rng.next_u64();\n        let mut rogue = RngStream::named(reseed, \"task/rogue\");",
     );
 
     let (findings, _) = analyze_sources(&sources, &cfg);
@@ -303,9 +322,9 @@ fn injected_drawn_reseed_is_caught_on_the_real_tree() {
         .collect();
     assert_eq!(t4.len(), 1, "exactly one T4 expected: {findings:?}");
     assert!(
-        t4[0].starts_with("crates/core/src/dispatch.rs")
+        t4[0].starts_with("crates/core/src/runner.rs")
             && t4[0].contains("`RngStream::named`")
-            && t4[0].contains("`compute_one`"),
+            && t4[0].contains("`TaskRunner::plan_timeline`"),
         "T4 must name the seed sink and the entry path: {}",
         t4[0]
     );

@@ -868,9 +868,9 @@ mod tests {
     }
 
     /// Sharded-execution acceptance check: the same scenario run with a
-    /// worker pool — parallel fleet construction plus batched plan-phase
-    /// dispatch with the deterministic `(time, seq)` merge — produces
-    /// byte-identical summary JSON for every thread count.
+    /// worker pool — parallel fleet construction, then the one sequential
+    /// admission path — produces byte-identical summary JSON for every
+    /// thread count.
     #[test]
     fn thread_count_never_changes_scenario_bytes() {
         let scenario = mega_fleet().scaled(0.1);
