@@ -6,9 +6,10 @@
 //! availability accounting in `PhoneMgr` (per-task cost O(k log F)
 //! instead of a fleet rescan) and sharded fleet construction (parallel
 //! segment builds behind `PlatformConfig::threads`). It drives the
-//! [`simdc_workload::mega_fleet`] scenario — superposed bursty arrivals of
-//! phone-heavy tasks, light churn, a straggler tail — over a fleet scaled
-//! with [`FleetSpec::scaled_paper`], once per thread count, and reports
+//! `mega_fleet` fixture (loaded with [`simdc_workload::fixture`]) —
+//! superposed bursty arrivals of phone-heavy tasks, light churn, a
+//! straggler tail — over a fleet scaled with [`FleetSpec::scaled_paper`]
+//! in place of the fixture's own, once per thread count, and reports
 //! wall-clock throughput per point: simulation events per second,
 //! completed tasks per second, the virtual-time speedup, and the
 //! wall-clock speedup relative to the sequential run.
@@ -29,9 +30,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
-use simdc_core::PlatformConfig;
 use simdc_phone::FleetSpec;
-use simdc_workload::{mega_fleet, Scenario, ScenarioSummary};
+use simdc_workload::{fixture, ScenarioSpec, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -88,23 +88,18 @@ pub struct ScaleResult {
 }
 
 fn run_once(
-    scenario: &Scenario,
-    fleet_size: usize,
+    base: &ScenarioSpec,
     threads: usize,
     data: &Arc<simdc_data::CtrDataset>,
-    seed: u64,
 ) -> (ScenarioSummary, ScaleTiming) {
-    let config = PlatformConfig {
-        fleet: FleetSpec::scaled_paper(fleet_size),
-        seed,
-        threads,
-        ..PlatformConfig::default()
-    };
+    let mut spec = base.clone();
+    spec.threads = threads;
+    let compiled = spec.compile().expect("mega_fleet fixture compiles");
     // Wall-clock throughput is this bench's product (clippy.toml bans
     // `Instant::now` in simulation code; `crates/bench` is harness).
     #[allow(clippy::disallowed_methods)]
     let started = Instant::now();
-    let summary = scenario.run(config, data, seed);
+    let summary = compiled.run(data);
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     let timing = ScaleTiming {
         wall_secs,
@@ -135,19 +130,17 @@ fn thread_axis(max: usize) -> Vec<usize> {
 ///
 /// # Panics
 ///
-/// Panics if the `mega_fleet` scenario fails validation (a library bug),
-/// or if any threaded run's summary differs byte-for-byte from the
-/// sequential run's — the deterministic-merge contract.
+/// Panics if the `mega_fleet` fixture fails to load or compile, or if
+/// any threaded run's summary differs byte-for-byte from the sequential
+/// run's — the deterministic-merge contract.
 pub fn run(opts: &ExpOptions) -> ScaleResult {
     let fleet_size = opts
         .fleet
         .unwrap_or(if opts.quick { QUICK_FLEET } else { FULL_FLEET });
-    let scenario = if opts.quick {
-        mega_fleet().scaled(0.1)
-    } else {
-        mega_fleet()
-    };
-    scenario.validate().expect("mega_fleet must be valid");
+    let mut base = fixture("mega_fleet").expect("mega_fleet fixture loads");
+    base.fleet = FleetSpec::scaled_paper(fleet_size);
+    base.seed = opts.seed;
+    let base = base.with_horizon_scale(if opts.quick { 0.1 } else { 1.0 });
     let data = Arc::new(super::standard_dataset(64, opts.seed));
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
@@ -157,7 +150,7 @@ pub fn run(opts: &ExpOptions) -> ScaleResult {
     let mut sequential_json = String::new();
     let mut sequential_wall = 0.0f64;
     for &threads in &axis {
-        let (run_summary, timing) = run_once(&scenario, fleet_size, threads, &data, opts.seed);
+        let (run_summary, timing) = run_once(&base, threads, &data);
         let json = serde_json::to_string(&run_summary).expect("summary serializes");
         if let Some(_first) = &summary {
             assert_eq!(

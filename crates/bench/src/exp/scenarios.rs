@@ -1,17 +1,17 @@
 //! Scenario suite — the workload library beyond the paper's fixed
 //! experiments.
 //!
-//! Runs every scenario in [`simdc_workload::library`] against a fresh
-//! paper-default platform and reports per-scenario throughput, queueing,
-//! fleet-perturbation and accuracy figures. The whole suite derives from
+//! Runs every fixture of [`simdc_workload::fixtures::LIBRARY`] against a
+//! fresh paper-default platform and reports per-scenario throughput,
+//! queueing, fleet-perturbation and accuracy figures. The whole suite derives from
 //! one seed: rerunning with the same seed writes byte-identical JSON
 //! (the CI determinism gate `diff`s two runs), while a different seed
 //! yields different task arrivals (`arrival_preview_secs`).
 
 use std::sync::Arc;
 
-use simdc_core::PlatformConfig;
-use simdc_workload::{library, ScenarioSummary};
+use simdc_workload::fixtures::LIBRARY;
+use simdc_workload::{fixture, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -19,21 +19,22 @@ use crate::{f, render_table, ExpOptions};
 ///
 /// # Panics
 ///
-/// Panics if a library scenario fails validation (a bug in the library,
-/// not an input error).
+/// Panics if a library fixture fails to load (a bug in the committed
+/// fixture, not an input error).
 pub fn run(opts: &ExpOptions) -> Vec<ScenarioSummary> {
     // Quick mode shrinks the arrival horizon; the scenario set is fixed.
     let scale = if opts.quick { 0.3 } else { 1.0 };
     let data = Arc::new(super::standard_dataset(120, opts.seed));
 
     let mut summaries = Vec::new();
-    for scenario in library() {
-        let scenario = scenario.scaled(scale);
-        let config = PlatformConfig {
-            seed: opts.seed,
-            ..PlatformConfig::default()
-        };
-        summaries.push(scenario.run(config, &data, opts.seed));
+    for name in LIBRARY {
+        let mut spec = fixture(name).expect("library fixture loads");
+        spec.seed = opts.seed;
+        let compiled = spec
+            .with_horizon_scale(scale)
+            .compile()
+            .expect("library fixture compiles");
+        summaries.push(compiled.run(&data));
     }
 
     let table = render_table(

@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
-use simdc_phone::FleetSpec;
-use simdc_workload::{library, ScenarioSpec, ScenarioSummary};
+use simdc_workload::{fixture, ScenarioSpec, ScenarioSummary};
 
 use crate::{f, render_table, ExpOptions};
 
@@ -94,19 +93,21 @@ pub struct CellRecord {
     pub summary: ScenarioSummary,
 }
 
-/// Runs the default sweep: the steady-Poisson library scenario over
+/// Runs the default sweep: the `steady_poisson` fixture over
 /// 2 seeds × 2 rate scales × {1, 4} threads.
 ///
 /// # Panics
 ///
-/// Panics if any (seed, rate-scale) group is not byte-identical across
-/// the thread axis — that would be a determinism regression, and the
-/// sweep doubles as its gate.
+/// Panics if the fixture fails to load, or if any (seed, rate-scale)
+/// group is not byte-identical across the thread axis — that would be a
+/// determinism regression, and the sweep doubles as its gate.
 pub fn run(opts: &ExpOptions) -> Vec<CellRecord> {
     // Quick mode shrinks the horizon; the grid shape is fixed.
     let horizon_scale = if opts.quick { 0.2 } else { 1.0 };
-    let base = ScenarioSpec::from_scenario(&library()[0], FleetSpec::paper_default(), opts.seed, 1)
-        .with_horizon_scale(horizon_scale);
+    let mut base = fixture("steady_poisson").expect("sweep fixture loads");
+    base.seed = opts.seed;
+    base.threads = 1;
+    let base = base.with_horizon_scale(horizon_scale);
     let grid = SweepGrid {
         base,
         seeds: vec![opts.seed, opts.seed + 1],
@@ -120,7 +121,7 @@ pub fn run(opts: &ExpOptions) -> Vec<CellRecord> {
         let summary = cell
             .spec
             .compile()
-            .expect("sweep cells derive from a validated library scenario")
+            .expect("sweep cells derive from a validated fixture")
             .run(&data);
         opts.write_json(&format!("SWEEP_{}", cell.name), &summary);
         records.push(CellRecord {
@@ -174,7 +175,8 @@ mod tests {
 
     #[test]
     fn grid_expansion_is_deterministic_and_complete() {
-        let base = ScenarioSpec::from_scenario(&library()[0], FleetSpec::paper_default(), 7, 1);
+        let mut base = fixture("steady_poisson").unwrap();
+        base.seed = 7;
         let grid = SweepGrid {
             base,
             seeds: vec![7, 8],

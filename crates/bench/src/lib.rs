@@ -11,6 +11,7 @@
 use std::path::PathBuf;
 
 use serde::Serialize;
+use simdc_workload::spec::MAX_THREADS;
 
 pub mod exp;
 
@@ -73,8 +74,9 @@ impl ExpOptions {
     /// # Errors
     ///
     /// [`ArgsError::Help`] when help is asked for, and
-    /// [`ArgsError::Invalid`] for an unknown flag or a missing or
-    /// non-integer value.
+    /// [`ArgsError::Invalid`] for an unknown flag, a missing or
+    /// non-integer value, `--fleet 0`, or `--threads` above
+    /// [`MAX_THREADS`].
     pub fn parse<I>(args: I) -> Result<Self, ArgsError>
     where
         I: IntoIterator,
@@ -96,8 +98,18 @@ impl ExpOptions {
                 "--seed" => opts.seed = integer(&arg, args.next())?,
                 "--quick" => opts.quick = true,
                 "--out" => opts.out_dir = PathBuf::from(value(&arg, args.next())?),
-                "--fleet" => opts.fleet = Some(integer(&arg, args.next())?),
-                "--threads" => opts.threads = Some(integer(&arg, args.next())?),
+                "--fleet" => match integer(&arg, args.next())? {
+                    0 => return Err(ArgsError::Invalid("--fleet must be at least 1".into())),
+                    phones => opts.fleet = Some(phones),
+                },
+                "--threads" => match integer(&arg, args.next())? {
+                    threads if threads > MAX_THREADS => {
+                        return Err(ArgsError::Invalid(format!(
+                            "--threads must be at most {MAX_THREADS}, got {threads}"
+                        )))
+                    }
+                    threads => opts.threads = Some(threads),
+                },
                 other => return Err(ArgsError::Invalid(format!("unknown argument '{other}'"))),
             }
         }
@@ -273,6 +285,13 @@ mod tests {
                 format!("{flag} must be an integer, got '-3'")
             );
         }
+        assert_eq!(invalid(&["--fleet", "0"]), "--fleet must be at least 1");
+        assert_eq!(
+            invalid(&["--threads", "65"]),
+            format!("--threads must be at most {MAX_THREADS}, got 65")
+        );
+        assert_eq!(parse(&["--threads", "64"]).unwrap().threads, Some(64));
+        assert_eq!(parse(&["--fleet", "1"]).unwrap().fleet, Some(1));
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //! Everything downstream of the seed is deterministic: same seed ⇒
 //! byte-identical [`ScenarioSummary`] JSON; different seed ⇒ different
 //! arrivals (exposed via `arrival_preview_secs`).
+//!
+//! Named scenarios are not built in code: each is a committed
+//! [`ScenarioSpec`](crate::ScenarioSpec) fixture, loaded with
+//! [`crate::fixture`] and compiled to a `Scenario`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use simdc_cluster::{AutoscalerConfig, ClusterConfig};
+use simdc_cluster::ClusterConfig;
 use simdc_core::{Platform, PlatformConfig, TaskSpec, TaskState};
 use simdc_data::CtrDataset;
 use simdc_simrt::{Engine, EngineCtx, RngStream, World};
@@ -79,22 +83,6 @@ impl Scenario {
             cluster.validate()?;
         }
         self.fleet.validate()
-    }
-
-    /// Returns a copy with the horizon scaled by `factor` (quick-profile
-    /// runs shrink scenarios this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not in `(0, 1]`.
-    #[must_use]
-    pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "scale factor must be in (0, 1], got {factor}"
-        );
-        self.horizon = SimDuration::from_secs_f64(self.horizon.as_secs_f64() * factor);
-        self
     }
 
     /// Executes the scenario against a fresh platform and returns its
@@ -458,269 +446,10 @@ fn summarize(
     (summary, world.platform)
 }
 
-/// The built-in scenario library: the six workloads `cargo run --bin
-/// scenarios` exercises. Each stresses a different axis — steady load,
-/// time-varying load, flash crowds, fleet churn, stragglers and
-/// benchmark-phone outages.
-#[must_use]
-pub fn library() -> Vec<Scenario> {
-    let mins = SimDuration::from_mins;
-    let base_template = TaskTemplate::default();
-    vec![
-        Scenario {
-            name: "steady_poisson".into(),
-            description: "memoryless constant-rate submissions; the capacity baseline".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Poisson { rate_per_min: 0.7 },
-            template: base_template.clone(),
-            fleet: FleetDynamics::calm(),
-            cluster: None,
-        },
-        Scenario {
-            name: "diurnal_cycle".into(),
-            description: "sinusoidal day/night load riding one full period".into(),
-            horizon: mins(40),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Diurnal {
-                mean_per_min: 0.6,
-                amplitude_per_min: 0.5,
-                period: mins(40),
-            },
-            template: base_template.clone(),
-            fleet: FleetDynamics::calm(),
-            cluster: None,
-        },
-        Scenario {
-            name: "flash_crowd".into(),
-            description: "low background traffic punctuated by 8x burst windows".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Bursty {
-                base_per_min: 0.25,
-                burst_multiplier: 8.0,
-                burst_every: mins(15),
-                burst_len: mins(2),
-            },
-            template: base_template.clone(),
-            fleet: FleetDynamics::calm(),
-            cluster: None,
-        },
-        Scenario {
-            name: "phone_churn".into(),
-            description: "steady load while phones crash and reboot across the fleet".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Poisson { rate_per_min: 0.6 },
-            template: base_template.clone(),
-            fleet: FleetDynamics {
-                mean_time_between_crashes: Some(mins(4)),
-                reboot_after: mins(3),
-                ..FleetDynamics::calm()
-            },
-            cluster: None,
-        },
-        Scenario {
-            name: "straggler_fleet".into(),
-            description: "40% of phones run 2.5x slower from the start".into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Poisson { rate_per_min: 0.6 },
-            template: TaskTemplate {
-                // Half of each task's devices run on phones, so the slowed
-                // fleet actually stretches round times.
-                allocation: simdc_core::AllocationPolicy::FixedLogicalFraction(0.5),
-                ..base_template.clone()
-            },
-            fleet: FleetDynamics {
-                straggler_frac: 0.4,
-                straggler_slowdown: 2.5,
-                ..FleetDynamics::calm()
-            },
-            cluster: None,
-        },
-        Scenario {
-            name: "benchmark_outage".into(),
-            description: "benchmark-measuring tasks while local phones (the preferred \
-                          benchmark pool) keep crashing"
-                .into(),
-            horizon: mins(30),
-            dispatch_interval: mins(2),
-            arrivals: ArrivalProcess::Superpose(vec![
-                ArrivalProcess::Poisson { rate_per_min: 0.4 },
-                ArrivalProcess::Bursty {
-                    base_per_min: 0.1,
-                    burst_multiplier: 6.0,
-                    burst_every: mins(12),
-                    burst_len: mins(2),
-                },
-            ]),
-            template: TaskTemplate {
-                benchmark_phones: 1,
-                ..base_template
-            },
-            fleet: FleetDynamics {
-                mean_time_between_crashes: Some(mins(3)),
-                reboot_after: mins(4),
-                target_local: true,
-                ..FleetDynamics::calm()
-            },
-            cluster: None,
-        },
-        cloud_surge(),
-        budget_capped(),
-    ]
-}
-
-/// The million-phone scale scenario: superposed bursty arrivals of small,
-/// phone-heavy tasks over a fleet sized by the *platform config* (pair it
-/// with [`simdc_phone::FleetSpec::scaled_paper`] at 100k–1M phones — the
-/// scenario itself is fleet-size agnostic). Light churn and a straggler
-/// tail keep the availability index under continuous transition pressure;
-/// every task runs its devices on the phone cluster
-/// (`FixedLogicalFraction(0.0)`) and reserves one benchmark phone, so
-/// `select`, `available` and `effective_profile` all sit on the task-plan
-/// hot path. Low per-task bundle claims let ~50 tasks run concurrently.
-///
-/// The `scale` bench bin (`crates/bench`) drives this scenario and reports
-/// wall-clock throughput and events per second (`BENCH_scale.json`).
-#[must_use]
-pub fn mega_fleet() -> Scenario {
-    let mins = SimDuration::from_mins;
-    Scenario {
-        name: "mega_fleet".into(),
-        description: "100k–1M-phone fleet under superposed bursty arrivals of phone-heavy tasks"
-            .into(),
-        horizon: mins(30),
-        dispatch_interval: mins(1),
-        arrivals: ArrivalProcess::Superpose(vec![
-            ArrivalProcess::Poisson { rate_per_min: 12.0 },
-            ArrivalProcess::Bursty {
-                base_per_min: 2.0,
-                burst_multiplier: 10.0,
-                burst_every: mins(6),
-                burst_len: mins(1),
-            },
-        ]),
-        template: TaskTemplate {
-            rounds: (1, 1),
-            devices_per_grade: (4, 8),
-            benchmark_phones: 1,
-            allocation: simdc_core::AllocationPolicy::FixedLogicalFraction(0.0),
-            high: crate::GradeScheme {
-                unit_bundles: 4,
-                units_per_device: 8,
-                phones: 16,
-            },
-            low: crate::GradeScheme {
-                unit_bundles: 2,
-                units_per_device: 2,
-                phones: 12,
-            },
-            ..TaskTemplate::default()
-        },
-        fleet: FleetDynamics {
-            mean_time_between_crashes: Some(SimDuration::from_secs(45)),
-            reboot_after: mins(2),
-            straggler_frac: 0.05,
-            straggler_slowdown: 2.0,
-            ..FleetDynamics::calm()
-        },
-        cluster: None,
-    }
-}
-
-/// The elastic scale-out scenario: bursty arrivals of *logical-heavy*
-/// tasks (every device simulated on the cloud tier, large unit-bundle
-/// claims) against the default four-node pool. Each burst stacks more
-/// bundle demand than the booted capacity holds, so placement blocks,
-/// the autoscaler boots nodes, blocked tasks admit at the node-ready
-/// event — and the quiet stretches between bursts drain the surplus back
-/// toward the floor. The summary's [`CloudSummary::series`] is the Fig
-/// 8/9-style node-count-over-time story the elasticity bench plots.
-#[must_use]
-pub fn cloud_surge() -> Scenario {
-    let mins = SimDuration::from_mins;
-    Scenario {
-        name: "cloud_surge".into(),
-        description: "bursty logical-heavy arrivals force elastic scale-out, quiet \
-                      stretches scale back in"
-            .into(),
-        horizon: mins(30),
-        dispatch_interval: mins(1),
-        arrivals: ArrivalProcess::Bursty {
-            base_per_min: 0.2,
-            burst_multiplier: 14.0,
-            burst_every: mins(12),
-            burst_len: mins(2),
-        },
-        template: cloud_heavy_template(),
-        fleet: FleetDynamics::calm(),
-        cluster: None,
-    }
-}
-
-/// The cost-governed variant of [`cloud_surge`]: the same bursty
-/// logical-heavy traffic, but the autoscaler carries a spend-rate budget
-/// that affords six nodes — deep bursts queue behind the cap instead of
-/// scaling through it, trading wait time for cost. Node count in the
-/// emitted series never exceeds the budget cap.
-#[must_use]
-pub fn budget_capped() -> Scenario {
-    let mins = SimDuration::from_mins;
-    Scenario {
-        name: "budget_capped".into(),
-        description: "cloud_surge traffic under a 6-node hourly cost budget: queues \
-                      absorb what the budget refuses to boot"
-            .into(),
-        horizon: mins(30),
-        dispatch_interval: mins(1),
-        arrivals: ArrivalProcess::Bursty {
-            base_per_min: 0.2,
-            burst_multiplier: 14.0,
-            burst_every: mins(12),
-            burst_len: mins(2),
-        },
-        template: cloud_heavy_template(),
-        fleet: FleetDynamics::calm(),
-        cluster: Some(ClusterConfig {
-            autoscaler: AutoscalerConfig {
-                // Nodes cost 1.0/h (CostModel default): affords 6 nodes.
-                max_hourly_cost: Some(6.0),
-                ..AutoscalerConfig::default()
-            },
-            ..ClusterConfig::default()
-        }),
-    }
-}
-
-/// The task population of the elastic-tier scenarios: fully logical
-/// placement (`FixedLogicalFraction(1.0)` — no phone-cluster devices, so
-/// cloud capacity is the only bottleneck) with unit-bundle claims big
-/// enough that a burst outgrows the four initial nodes.
-fn cloud_heavy_template() -> TaskTemplate {
-    TaskTemplate {
-        rounds: (1, 2),
-        devices_per_grade: (16, 32),
-        benchmark_phones: 0,
-        allocation: simdc_core::AllocationPolicy::FixedLogicalFraction(1.0),
-        high: crate::GradeScheme {
-            unit_bundles: 64,
-            units_per_device: 8,
-            phones: 0,
-        },
-        low: crate::GradeScheme {
-            unit_bundles: 32,
-            units_per_device: 2,
-            phones: 0,
-        },
-        ..TaskTemplate::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{fixture, LIBRARY};
     use simdc_data::GeneratorConfig;
 
     fn dataset() -> Arc<CtrDataset> {
@@ -732,6 +461,22 @@ mod tests {
             seed: 55,
             ..GeneratorConfig::default()
         }))
+    }
+
+    /// The scenario half of a committed fixture, for runs whose platform
+    /// seed differs from the fixture's.
+    fn fixture_scenario(name: &str) -> Scenario {
+        fixture(name).unwrap().compile().unwrap().scenario
+    }
+
+    /// `mega_fleet` at a tenth of its horizon (3 minutes).
+    fn short_mega_fleet() -> Scenario {
+        fixture("mega_fleet")
+            .unwrap()
+            .with_horizon_scale(0.1)
+            .compile()
+            .unwrap()
+            .scenario
     }
 
     fn tiny(name: &str) -> Scenario {
@@ -846,8 +591,7 @@ mod tests {
 
     #[test]
     fn mega_fleet_is_byte_deterministic_over_a_scaled_fleet() {
-        let scenario = mega_fleet().scaled(0.1); // 3-minute horizon
-        scenario.validate().unwrap();
+        let scenario = short_mega_fleet();
         let data = dataset();
         let config = || PlatformConfig {
             fleet: simdc_phone::FleetSpec::scaled_paper(1_500),
@@ -873,7 +617,7 @@ mod tests {
     /// thread count.
     #[test]
     fn thread_count_never_changes_scenario_bytes() {
-        let scenario = mega_fleet().scaled(0.1);
+        let scenario = short_mega_fleet();
         let data = dataset();
         let run = |threads: usize| {
             let config = PlatformConfig {
@@ -899,7 +643,7 @@ mod tests {
     /// capacity instead of failing.
     #[test]
     fn cloud_surge_scales_up_then_back_down_within_one_run() {
-        let scenario = cloud_surge();
+        let scenario = fixture_scenario("cloud_surge");
         let data = dataset();
         let summary = scenario.run(PlatformConfig::default(), &data, 5);
         assert!(summary.submitted > 0, "{summary:?}");
@@ -936,7 +680,7 @@ mod tests {
 
     #[test]
     fn cloud_surge_is_byte_deterministic() {
-        let scenario = cloud_surge();
+        let scenario = fixture_scenario("cloud_surge");
         let data = dataset();
         let a = scenario.run(PlatformConfig::default(), &data, 42);
         let b = scenario.run(PlatformConfig::default(), &data, 42);
@@ -949,7 +693,7 @@ mod tests {
 
     #[test]
     fn budget_cap_bounds_node_count_in_the_series() {
-        let scenario = budget_capped();
+        let scenario = fixture_scenario("budget_capped");
         let data = dataset();
         let (summary, platform) = scenario.run_detailed(PlatformConfig::default(), &data, 5);
         assert!(summary.submitted > 0);
@@ -978,7 +722,7 @@ mod tests {
         assert_eq!(summary.cloud.peak_nodes.max(6), 6, "{:?}", summary.cloud);
         // The capped pool pays with queueing: the same traffic waits at
         // least as long as under the uncapped autoscaler.
-        let uncapped = cloud_surge().run(PlatformConfig::default(), &data, 5);
+        let uncapped = fixture_scenario("cloud_surge").run(PlatformConfig::default(), &data, 5);
         assert!(
             summary.mean_wait_secs >= uncapped.mean_wait_secs,
             "cap {} vs uncapped {}",
@@ -987,20 +731,34 @@ mod tests {
         );
     }
 
+    /// Every library name loads a fixture (the loader validates it) that
+    /// carries that name.
     #[test]
     fn library_scenarios_validate() {
-        let lib = library();
-        assert_eq!(lib.len(), 8);
         let mut names = std::collections::BTreeSet::new();
-        for scenario in &lib {
-            scenario.validate().unwrap();
-            assert!(names.insert(scenario.name.clone()), "duplicate name");
+        for name in LIBRARY {
+            let spec = fixture(name).unwrap();
+            assert_eq!(spec.name, name);
+            assert!(names.insert(name), "duplicate name {name}");
         }
+        assert_eq!(names.len(), 8);
     }
 
     #[test]
     fn scaled_shrinks_horizon() {
-        let scenario = tiny("scaling").scaled(0.5);
-        assert_eq!(scenario.horizon, SimDuration::from_mins(3));
+        let mut spec = fixture("steady_poisson").unwrap();
+        spec.horizon = SimDuration::from_mins(6);
+        assert_eq!(
+            spec.clone().with_horizon_scale(0.5).horizon,
+            SimDuration::from_mins(3)
+        );
+        assert_eq!(spec.clone().with_horizon_scale(1.0).horizon, spec.horizon);
+        for factor in [0.0, -0.5, 1.5] {
+            let outside = spec.clone();
+            assert!(
+                std::panic::catch_unwind(move || outside.with_horizon_scale(factor)).is_err(),
+                "factor {factor} is outside (0, 1]"
+            );
+        }
     }
 }

@@ -1,37 +1,35 @@
-//! The scenario-fixture contract: all eight library scenarios live as
-//! committed JSON specs under `fixtures/scenarios/` at the repository
-//! root, and each fixture compiles to a run summary byte-identical to its
-//! legacy Rust constructor (kept for one release as the oracle).
+//! The scenario-fixture contract: every named scenario is a JSON spec
+//! committed under `fixtures/scenarios/` at the repository root and
+//! registered in [`simdc_workload::fixtures::EMBEDDED`]. The registry and
+//! the directory agree, each file is in canonical form, and the library
+//! fixtures run to the summaries pinned in `tests/golden/fixture_summaries.json`.
 //!
-//! Regenerate after an intentional schema or library change with
-//! `SIMDC_WRITE_FIXTURES=1 cargo test -p simdc-workload --test fixtures`
-//! — the sync test then fails until the rewritten fixtures are committed,
-//! so drift is always a reviewed diff.
+//! Regenerate after an intentional schema or behavior change with
+//! `SIMDC_WRITE_FIXTURES=1 cargo test -p simdc-workload --test fixtures`,
+//! which rewrites the fixtures in canonical form and the golden from the
+//! current runs; commit the diff after review.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use simdc_data::{CtrDataset, GeneratorConfig};
-use simdc_phone::FleetSpec;
-use simdc_workload::{library, ScenarioSpec};
+use simdc_types::SimdcError;
+use simdc_workload::fixtures::{EMBEDDED, LIBRARY};
+use simdc_workload::{fixture, ScenarioSpec};
 
-/// The seed every fixture carries (the workspace's default platform
-/// seed); tests that want another seed override the field after loading.
-const FIXTURE_SEED: u64 = 0x51AD_C0DE;
+/// The golden-summary fixtures run at this fraction of their horizon.
+const GOLDEN_HORIZON_SCALE: f64 = 0.25;
+
+fn write_requested() -> bool {
+    std::env::var_os("SIMDC_WRITE_FIXTURES").is_some()
+}
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/scenarios")
 }
 
-fn fixture_path(name: &str) -> PathBuf {
-    fixture_dir().join(format!("{name}.json"))
-}
-
-fn canonical_fixture(scenario: &simdc_workload::Scenario) -> (PathBuf, String) {
-    let spec = ScenarioSpec::from_scenario(scenario, FleetSpec::paper_default(), FIXTURE_SEED, 1);
-    let mut json = spec.to_json_string_pretty();
-    json.push('\n');
-    (fixture_path(&scenario.name), json)
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fixture_summaries.json")
 }
 
 fn dataset() -> Arc<CtrDataset> {
@@ -45,77 +43,77 @@ fn dataset() -> Arc<CtrDataset> {
     }))
 }
 
-/// Every committed fixture is byte-identical to the canonical
-/// serialization of its legacy constructor — the JSON schema (field
-/// names, order, value encoding) cannot drift without a reviewed diff.
+/// Every spec file in the fixture directory is registered and every
+/// registered name has its file; names are unique, each file carries its
+/// own name, and each file is byte-identical to the canonical
+/// serialization of what it parses to. Unknown names are typed errors.
 #[test]
-fn fixtures_stay_in_sync_with_the_legacy_constructors() {
-    let write = std::env::var_os("SIMDC_WRITE_FIXTURES").is_some();
-    for scenario in library() {
-        let (path, expected) = canonical_fixture(&scenario);
-        if write {
-            std::fs::write(&path, &expected).expect("write fixture");
+fn fixtures_are_registered_and_canonical() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(fixture_dir())
+        .expect("fixture directory")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .filter_map(|file| file.to_str()?.strip_suffix(".json").map(str::to_owned))
+        .filter(|stem| stem != "scenario_summary.schema")
+        .collect();
+    on_disk.sort();
+    let registered: Vec<&str> = EMBEDDED.iter().map(|(name, _)| *name).collect();
+    assert_eq!(on_disk, registered, "fixture files and registry differ");
+    assert!(
+        registered.windows(2).all(|pair| pair[0] < pair[1]),
+        "registry names must be unique and sorted"
+    );
+
+    for name in registered {
+        let path = fixture_dir().join(format!("{name}.json"));
+        let committed = std::fs::read_to_string(&path).expect("fixture readable");
+        let spec = ScenarioSpec::from_json_str(&committed)
+            .unwrap_or_else(|e| panic!("fixture {name} does not load: {e}"));
+        assert_eq!(spec.name, name, "fixture file and spec name differ");
+        let canonical = format!("{}\n", spec.to_json_string_pretty());
+        if write_requested() {
+            std::fs::write(&path, &canonical).expect("write fixture");
         }
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
         assert_eq!(
-            committed,
-            expected,
-            "fixture {} drifted from the legacy constructor; regenerate with \
-             SIMDC_WRITE_FIXTURES=1 and review the diff",
-            path.display()
+            committed, canonical,
+            "fixture {name} is not in canonical form; regenerate with \
+             SIMDC_WRITE_FIXTURES=1 and review the diff"
         );
+    }
+
+    match fixture("no_such_scenario") {
+        Err(SimdcError::InvalidConfig(msg)) => {
+            assert_eq!(msg, "unknown scenario fixture `no_such_scenario`");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
     }
 }
 
-/// Each fixture loads through the strict loader, validates, and compiles
-/// to exactly the scenario the legacy constructor builds.
+/// The behavior contract of the library: each fixture, in library order
+/// and at a quarter of its horizon, runs to exactly the pinned summary.
 #[test]
-fn fixtures_compile_to_the_legacy_scenarios() {
-    let scenarios = library();
-    assert_eq!(scenarios.len(), 8, "fixture set tracks the library");
-    for scenario in &scenarios {
-        let text = std::fs::read_to_string(fixture_path(&scenario.name)).expect("fixture exists");
-        let spec = ScenarioSpec::from_json_str(&text).expect("fixture loads cleanly");
-        let compiled = spec.compile().expect("fixture compiles");
-        assert_eq!(
-            compiled.scenario, *scenario,
-            "compiled {} diverges from its constructor",
-            scenario.name
-        );
-        assert_eq!(compiled.config.seed, FIXTURE_SEED);
-        assert_eq!(compiled.config.fleet, FleetSpec::paper_default());
-    }
-}
-
-/// The byte-identity oracle: running a fixture-compiled scenario produces
-/// summary JSON byte-identical to running the legacy constructor with the
-/// same platform knobs. (Both sides shrink their horizon the same way to
-/// keep the test fast; the compiler is horizon-agnostic.)
-#[test]
-fn fixture_runs_are_byte_identical_to_constructor_runs() {
+fn fixture_summaries_match_the_golden() {
     let data = dataset();
-    for scenario in library() {
-        let text = std::fs::read_to_string(fixture_path(&scenario.name)).expect("fixture exists");
-        let spec = ScenarioSpec::from_json_str(&text).expect("fixture loads cleanly");
-        let compiled = spec.with_horizon_scale(0.25).compile().unwrap();
-        let from_fixture = compiled.run(&data);
-
-        let legacy = scenario.scaled(0.25).run(
-            simdc_core::PlatformConfig {
-                fleet: FleetSpec::paper_default(),
-                seed: FIXTURE_SEED,
-                threads: 1,
-                ..simdc_core::PlatformConfig::default()
-            },
-            &data,
-            FIXTURE_SEED,
-        );
-        assert_eq!(
-            serde_json::to_string(&from_fixture).unwrap(),
-            serde_json::to_string(&legacy).unwrap(),
-            "fixture-compiled {} diverged from the legacy constructor run",
-            from_fixture.scenario
-        );
+    let summaries: Vec<_> = LIBRARY
+        .iter()
+        .map(|name| {
+            fixture(name)
+                .expect("fixture loads cleanly")
+                .with_horizon_scale(GOLDEN_HORIZON_SCALE)
+                .compile()
+                .expect("fixture compiles")
+                .run(&data)
+        })
+        .collect();
+    let mut expected = serde_json::to_string_pretty(&summaries).expect("summaries serialize");
+    expected.push('\n');
+    let path = golden_path();
+    if write_requested() {
+        std::fs::write(&path, &expected).expect("write golden");
     }
+    let committed = std::fs::read_to_string(&path).expect("golden exists");
+    assert_eq!(
+        committed, expected,
+        "fixture summaries drifted from the golden; if intentional, regenerate \
+         with SIMDC_WRITE_FIXTURES=1 and explain the re-pin"
+    );
 }

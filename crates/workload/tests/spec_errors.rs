@@ -4,30 +4,16 @@
 //! are part of the public surface (CI logs, sweep tooling) and changing
 //! one is a reviewed diff here.
 
+use simdc_workload::fixtures::EMBEDDED;
 use simdc_workload::ScenarioSpec;
 
-fn steady() -> String {
-    std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../fixtures/scenarios/steady_poisson.json"
-    ))
-    .expect("steady_poisson fixture")
-}
-
-fn diurnal() -> String {
-    std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../fixtures/scenarios/diurnal_cycle.json"
-    ))
-    .expect("diurnal_cycle fixture")
-}
-
-fn budget_capped() -> String {
-    std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../fixtures/scenarios/budget_capped.json"
-    ))
-    .expect("budget_capped fixture")
+/// The committed text of fixture `name`.
+fn fixture_text(name: &str) -> &'static str {
+    EMBEDDED
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|(_, text)| *text)
+        .expect("registered fixture")
 }
 
 /// Patches `from -> to` exactly once; panics if the needle is missing so
@@ -47,24 +33,32 @@ fn every_malformed_spec_yields_its_pinned_error() {
         ),
         (
             "unknown arrival variant",
-            patch(&steady(), "\"Poisson\"", "\"Pareto\""),
+            patch(fixture_text("steady_poisson"), "\"Poisson\"", "\"Pareto\""),
             "serialization error: serde error: field `arrivals`: serde error: \
              unknown variant `Pareto` of enum ArrivalProcess",
         ),
         (
             "negative poisson rate",
-            patch(&steady(), "\"rate_per_min\": 0.7", "\"rate_per_min\": -1.0"),
+            patch(
+                fixture_text("steady_poisson"),
+                "\"rate_per_min\": 0.7",
+                "\"rate_per_min\": -1.0",
+            ),
             "invalid configuration: poisson rate must be positive, got -1",
         ),
         (
             "diurnal amplitude above mean",
-            patch(&diurnal(), "\"mean_per_min\": 0.6", "\"mean_per_min\": 0.4"),
+            patch(
+                fixture_text("diurnal_cycle"),
+                "\"mean_per_min\": 0.6",
+                "\"mean_per_min\": 0.4",
+            ),
             "invalid configuration: diurnal amplitude (0.5) exceeds mean (0.4)",
         ),
         (
             "zero-phone fleet",
             patch(
-                &steady(),
+                fixture_text("steady_poisson"),
                 "\"local\": {\n      \"high\": 4,\n      \"low\": 6\n    },\n    \
                  \"msp\": {\n      \"high\": 13,\n      \"low\": 7\n    }",
                 "\"local\": {\n      \"high\": 0,\n      \"low\": 0\n    },\n    \
@@ -75,7 +69,7 @@ fn every_malformed_spec_yields_its_pinned_error() {
         (
             "negative autoscaler budget",
             patch(
-                &budget_capped(),
+                fixture_text("budget_capped"),
                 "\"max_hourly_cost\": 6",
                 "\"max_hourly_cost\": -3",
             ),
@@ -84,7 +78,7 @@ fn every_malformed_spec_yields_its_pinned_error() {
         (
             "unknown top-level key",
             patch(
-                &steady(),
+                fixture_text("steady_poisson"),
                 "{\n  \"name\"",
                 "{\n  \"frequency\": 3,\n  \"name\"",
             ),
@@ -93,7 +87,7 @@ fn every_malformed_spec_yields_its_pinned_error() {
         (
             "unknown nested key",
             patch(
-                &steady(),
+                fixture_text("steady_poisson"),
                 "\"template\": {\n    \"rounds\"",
                 "\"template\": {\n    \"bogus\": true,\n    \"rounds\"",
             ),
@@ -101,7 +95,11 @@ fn every_malformed_spec_yields_its_pinned_error() {
         ),
         (
             "too many threads",
-            patch(&steady(), "\"threads\": 1", "\"threads\": 65"),
+            patch(
+                fixture_text("steady_poisson"),
+                "\"threads\": 1",
+                "\"threads\": 65",
+            ),
             "invalid configuration: threads must be at most 64, got 65",
         ),
     ];
@@ -116,10 +114,10 @@ fn every_malformed_spec_yields_its_pinned_error() {
 /// fixture never panics — every prefix parses or errors cleanly.
 #[test]
 fn truncated_documents_error_instead_of_panicking() {
-    let full = steady();
+    let full = fixture_text("steady_poisson");
     for end in (0..full.len()).step_by(37) {
         let prefix = &full[..end];
         let _ = ScenarioSpec::from_json_str(prefix);
     }
-    assert!(ScenarioSpec::from_json_str(&full).is_ok());
+    assert!(ScenarioSpec::from_json_str(full).is_ok());
 }
